@@ -66,6 +66,11 @@ struct Capabilities {
 class Prepared {
  public:
   virtual ~Prepared() = default;
+  /// Bytes of per-thread state one shot or evaluation of this artifact
+  /// holds while it runs (a simulator arena).  Session weighs it against
+  /// the last-level cache to choose shot-level or kernel-level threads;
+  /// 0 (the default) reports nothing and keeps shots in parallel.
+  virtual std::uint64_t executor_bytes() const noexcept { return 0; }
 };
 
 class Backend {

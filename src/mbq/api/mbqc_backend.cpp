@@ -65,6 +65,7 @@ std::shared_ptr<const Prepared> MbqcBackend::prepare(
   // subsequent expectation/sample shot replays the tape only.
   prep->executable =
       std::make_shared<const mbqc::CompiledPattern>(prep->compiled.pattern);
+  prep->arena_bytes = prep->executable->arena_bytes(w.precision());
   return prep;
 }
 
@@ -101,7 +102,7 @@ std::uint64_t MbqcBackend::sample_one(const Workload& w, const qaoa::Angles& a,
   }
   const core::CompiledPattern& cp = pattern_of(prep);
   // The tape replays on this thread's warm executor arena: the whole
-  // shot loop above us (Session::sample fans shots across threads)
+  // shot loop above us (Session::sample, on shot or kernel threads)
   // performs no per-shot validation, lowering, or basis construction,
   // and the final computational-basis readout samples straight from the
   // arena — no per-shot output_state copy either.

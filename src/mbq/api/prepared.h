@@ -25,6 +25,12 @@ struct PreparedPattern final : Prepared {
   /// on the dynamic statevector (mbqc, mbqc-classical); the tableau path
   /// walks compiled.pattern directly and leaves it null.
   std::shared_ptr<const mbqc::CompiledPattern> executable;
+  /// executable's arena_bytes at the workload's precision; 0 without one.
+  std::uint64_t arena_bytes = 0;
+
+  std::uint64_t executor_bytes() const noexcept override {
+    return arena_bytes;
+  }
 };
 
 inline const core::CompiledPattern& pattern_of(const Prepared* prep) {

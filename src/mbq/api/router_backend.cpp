@@ -19,6 +19,11 @@ struct PreparedRoute final : Prepared {
   std::shared_ptr<const Prepared> inner;
   std::shared_ptr<Backend> checker;
   std::shared_ptr<const Prepared> checker_inner;
+
+  std::uint64_t executor_bytes() const noexcept override {
+    return (inner ? inner->executor_bytes() : 0) +
+           (checker_inner ? checker_inner->executor_bytes() : 0);
+  }
 };
 
 const PreparedRoute& route_of(const Prepared* prep) {

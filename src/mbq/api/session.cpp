@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "mbq/api/registry.h"
+#include "mbq/common/cpu.h"
 #include "mbq/common/error.h"
 #include "mbq/common/parallel.h"
 #include "mbq/serve/client.h"
@@ -25,7 +26,39 @@ int resolve_num_processes(int requested) {
   return 1;
 }
 
+/// The parallel_for_grain grain for `items` independent items whose
+/// largest executor footprint is `executor_bytes`, as choose_parallelism
+/// decides on this host: 1 spreads them over threads (shot-level), a
+/// grain above the trip count keeps them on the calling thread
+/// (kernel-level).
+std::int64_t item_grain(std::uint64_t executor_bytes, std::int64_t items) {
+  const Parallelism p = choose_parallelism(
+      executor_bytes, static_cast<std::uint64_t>(items), num_threads(),
+      thr::kernel_threads(), llc_bytes());
+  return p == Parallelism::kShots ? 1 : items + 1;
+}
+
+/// Largest executor footprint among prepared artifacts (null ones: 0).
+std::uint64_t max_executor_bytes(
+    std::span<const std::shared_ptr<const Prepared>> preps) {
+  std::uint64_t bytes = 0;
+  for (const auto& p : preps)
+    if (p != nullptr) bytes = std::max(bytes, p->executor_bytes());
+  return bytes;
+}
+
 }  // namespace
+
+Parallelism choose_parallelism(std::uint64_t executor_bytes,
+                               std::uint64_t items, int shot_threads,
+                               int kernel_threads,
+                               std::uint64_t llc_bytes) noexcept {
+  if (executor_bytes == 0 || kernel_threads <= 1) return Parallelism::kShots;
+  if (items <= 1) return Parallelism::kKernels;
+  const auto threads = static_cast<std::uint64_t>(std::max(shot_threads, 1));
+  return threads * executor_bytes > llc_bytes ? Parallelism::kKernels
+                                              : Parallelism::kShots;
+}
 
 const Shot& SampleResult::best() const {
   MBQ_REQUIRE(!shots.empty(), "no shots recorded");
@@ -209,9 +242,6 @@ std::vector<std::shared_ptr<const Prepared>> Session::checked_prepared_batch(
   const std::size_t n = points.size();
   std::vector<std::shared_ptr<const Prepared>> preps(n);
   if (n == 0) return preps;
-  // Pre-warm the workload's memoized cost table before stateless workers
-  // share the workload concurrently.
-  workload_.cost_table();
 
   std::vector<std::vector<real>> keys(n);
   for (std::size_t i = 0; i < n; ++i) keys[i] = points[i].flat();
@@ -306,7 +336,9 @@ std::vector<real> Session::expectation_batch(
   const Workload& w = workload_;
   Backend* backend = backend_.get();
   std::vector<std::exception_ptr> errors(n);
-  parallel_for_grain(static_cast<std::int64_t>(n), 1, [&](std::int64_t i) {
+  const auto count = static_cast<std::int64_t>(n);
+  const std::int64_t grain = item_grain(max_executor_bytes(preps), count);
+  parallel_for_grain(count, grain, [&](std::int64_t i) {
     try {
       // Slot i draws exactly the stream the (base + i)-th serial
       // expectation() call would: bit-identical at any thread count.
@@ -326,7 +358,6 @@ std::future<real> Session::expectation_async(const qaoa::Angles& a) {
   // Cache update and stream assignment happen on the calling thread (the
   // cache is not synchronized); only the stateless evaluation is
   // offloaded, so concurrent pending futures cannot race.
-  workload_.cost_table();  // pre-warm the shared memo before offloading
   auto prepared = checked_prepared(a);
   Rng eval_rng = rng_.stream(kExpectationStreamBase + expectation_calls_++);
   return std::async(std::launch::async,
@@ -358,7 +389,10 @@ SampleResult Session::sample(const qaoa::Angles& a, int shots) {
 
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::int64_t grain = options_.parallel_shots ? 1 : shots + 1;
+  const std::int64_t grain =
+      options_.parallel_shots
+          ? item_grain(prep ? prep->executor_bytes() : 0, shots)
+          : shots + 1;
   parallel_for_grain(shots, grain, [&](std::int64_t s) {
     try {
       Rng shot_rng = base.stream(static_cast<std::uint64_t>(s));
@@ -398,7 +432,9 @@ std::vector<SampleResult> Session::sample_batch(
   std::vector<std::exception_ptr> errors(n);
   std::mutex error_mutex;
   const std::int64_t total = static_cast<std::int64_t>(n) * shots;
-  const std::int64_t grain = options_.parallel_shots ? 1 : total + 1;
+  const std::int64_t grain = options_.parallel_shots
+                                 ? item_grain(max_executor_bytes(preps), total)
+                                 : total + 1;
   parallel_for_grain(total, grain, [&](std::int64_t t) {
     const std::size_t i = static_cast<std::size_t>(t / shots);
     const std::int64_t s = t % shots;

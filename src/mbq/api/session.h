@@ -10,6 +10,16 @@
 //     from stream(s) of a per-call base generator, so sample() returns
 //     bit-identical results at any thread count.
 //
+// Shot-level or kernel-level threads: sample(), sample_batch() and the
+// point fan-out of expectation_batch() run their independent items
+// (shots, angle points) concurrently, one per thread — unless that many
+// executor arenas side by side would not fit in the host's last-level
+// cache.  Then every shot would stream its arena from DRAM, so the
+// items run one at a time on the calling thread instead, and the
+// simulator's kernel sweeps spread each one over thr::kernel_threads()
+// on a cache-resident arena.  choose_parallelism() below is the whole
+// rule; results are bit-identical on either path.
+//
 // Construct with a registry name to stay decoupled from concrete
 // adapters:
 //
@@ -90,8 +100,12 @@ namespace mbq::api {
 
 struct SessionOptions {
   std::uint64_t seed = 0x51E55ED5EEDULL;
-  /// Batch sample() shots across threads (results are identical either
-  /// way; this is purely a wall-clock knob).
+  /// Allow sample()/sample_batch() to run shots concurrently.  true
+  /// (the default) lets choose_parallelism() pick shot-level or
+  /// kernel-level threads per call; false never runs shots in parallel
+  /// (they run one at a time on the calling thread, kernel sweeps still
+  /// threaded).  Results are identical either way; this is purely a
+  /// wall-clock knob.
   bool parallel_shots = true;
   /// Entries kept in the per-angle prepare() cache before LRU eviction.
   std::size_t cache_capacity = 64;
@@ -148,6 +162,33 @@ struct SessionOptions {
   /// Session wins.
   int kernel_threads = 0;
 };
+
+/// How a call's independent items (shots, angle points) use threads.
+enum class Parallelism {
+  /// Items run concurrently on common/parallel, one per thread; each
+  /// item's kernel sweeps stay on its own thread.
+  kShots,
+  /// Items run one at a time on the calling thread; each item's kernel
+  /// sweeps use all thr::kernel_threads().
+  kKernels,
+};
+
+/// The shot-versus-kernel rule, as a pure function of what the host and
+/// the prepared artifact report:
+///   * kShots when the artifact reports no footprint
+///     (executor_bytes == 0) or kernel threads resolve to 1 — a serial
+///     loop would then leave the other cores idle;
+///   * kKernels for a single item, which runs on the calling thread
+///     either way;
+///   * kKernels when shot_threads arenas of executor_bytes each exceed
+///     llc_bytes — side by side they would stream from DRAM;
+///   * kShots otherwise.
+/// Session feeds it common::num_threads(), thr::kernel_threads() and
+/// llc_bytes() (common/cpu.h).
+Parallelism choose_parallelism(std::uint64_t executor_bytes,
+                               std::uint64_t items, int shot_threads,
+                               int kernel_threads,
+                               std::uint64_t llc_bytes) noexcept;
 
 struct Shot {
   std::uint64_t x = 0;

@@ -119,8 +119,7 @@ const qaoa::ParamCircuit& Workload::param_circuit() const {
 
 Workload& Workload::with_linear_style(core::LinearTermStyle style) {
   spec_.linear_style = style;
-  table_.reset();  // options do not affect the table, but stay conservative
-  lowered_.reset();
+  relower();
   return *this;
 }
 
@@ -128,7 +127,7 @@ Workload& Workload::with_max_wire_degree(int degree) {
   MBQ_REQUIRE(degree == 0 || degree >= 3,
               "max_wire_degree must be 0 (unlimited) or >= 3, got " << degree);
   spec_.max_wire_degree = degree;
-  lowered_.reset();
+  relower();
   return *this;
 }
 
@@ -136,7 +135,7 @@ Workload& Workload::with_entangler_noise(real probability) {
   MBQ_REQUIRE(probability >= 0.0 && probability <= 1.0,
               "entangler noise probability out of range: " << probability);
   spec_.entangler_noise = probability;
-  lowered_.reset();
+  relower();
   return *this;
 }
 
@@ -145,26 +144,27 @@ Workload& Workload::with_precision(Precision p) {
   MBQ_REQUIRE(v <= static_cast<std::uint8_t>(Precision::F32),
               "invalid precision " << int{v});
   spec_.precision = p;
-  lowered_.reset();
+  relower();
   return *this;
 }
 
 Workload& Workload::with_spec_compile(
     const speccomp::SpecCompileOptions& options) {
   spec_opt_ = options;
-  lowered_.reset();
+  relower();
   return *this;
 }
 
+void Workload::relower() {
+  lowered_ = std::make_shared<Memo<speccomp::CompiledSpec>>();
+}
+
 const speccomp::CompiledSpec& Workload::lowered() const {
-  if (!lowered_)
-    lowered_ = std::make_shared<const speccomp::CompiledSpec>(
-        speccomp::compile_spec(spec_, spec_opt_));
-  return *lowered_;
+  return *lowered_->get([&] { return speccomp::compile_spec(spec_, spec_opt_); });
 }
 
 const qaoa::ParamCircuit& Workload::registered_circuit() const {
-  if (!registered_circuit_) {
+  return *registered_circuit_->get([&] {
     // Built from the RAW spec (the passes never touch the registered
     // payload), through the registry's build hook.
     const AnsatzKindHooks hooks =
@@ -176,10 +176,8 @@ const qaoa::ParamCircuit& Workload::registered_circuit() const {
                                       << built.num_qubits()
                                       << " qubits, cost acts on "
                                       << num_qubits());
-    registered_circuit_ =
-        std::make_shared<const qaoa::ParamCircuit>(std::move(built));
-  }
-  return *registered_circuit_;
+    return built;
+  });
 }
 
 core::CompileOptions Workload::compile_options(bool final_corrections) const {
@@ -192,9 +190,7 @@ core::CompileOptions Workload::compile_options(bool final_corrections) const {
 }
 
 std::shared_ptr<const std::vector<real>> Workload::cost_table() const {
-  if (!table_)
-    table_ = std::make_shared<const std::vector<real>>(spec_.cost.cost_table());
-  return table_;
+  return table_->get([&] { return spec_.cost.cost_table(); });
 }
 
 Statevector Workload::reference_state(const qaoa::Angles& a) const {

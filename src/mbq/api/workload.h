@@ -41,9 +41,15 @@
 // consume, while spec() stays the raw description — fingerprints, the
 // prepare caches, and every wire format key on the PRE-optimization
 // bytes, so optimization is a per-host lowering detail.
+//
+// The memos (lowering, cost table, registered circuit) are computed on
+// first use behind a once-guard that copies share, so a Workload can be
+// read from many threads at once; the with_* setters are not
+// thread-safe and start fresh memos.
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -158,9 +164,8 @@ class Workload {
   /// bit-neutral set).  Chainable; resets the memoized lowering.
   Workload& with_spec_compile(const speccomp::SpecCompileOptions& options);
 
-  /// Memoized full cost table c(x), x in [0, 2^n).  Shared across copies
-  /// of this workload; compute it once before handing the workload to
-  /// parallel workers.
+  /// Memoized full cost table c(x), x in [0, 2^n), computed once on
+  /// first use and shared across copies of this workload.
   std::shared_ptr<const std::vector<real>> cost_table() const;
 
   /// Gate-model reference state at the given angles (each ansatz kind
@@ -180,15 +185,35 @@ class Workload {
   /// Built circuit of a Registered ansatz (memoized via the registry's
   /// build hook).
   const qaoa::ParamCircuit& registered_circuit() const;
+  /// Start a fresh lowering memo after a setter changed its inputs.
+  void relower();
+
+  /// A value computed at most once, on first use, by whichever thread
+  /// gets there first; copies of the Workload share it.
+  template <class T>
+  struct Memo {
+    std::once_flag once;
+    std::shared_ptr<const T> value;
+
+    template <class F>
+    const std::shared_ptr<const T>& get(F&& make) {
+      std::call_once(once, [&] { value = std::make_shared<const T>(make()); });
+      return value;
+    }
+  };
 
   WorkloadSpec spec_;
   CircuitBuilder circuit_;  // CustomCircuit escape hatch only
   speccomp::SpecCompileOptions spec_opt_ =
       speccomp::SpecCompileOptions::from_env();
-  // Memo for cost_table(); shared so copies reuse the computed table.
-  mutable std::shared_ptr<const std::vector<real>> table_;
-  mutable std::shared_ptr<const speccomp::CompiledSpec> lowered_;
-  mutable std::shared_ptr<const qaoa::ParamCircuit> registered_circuit_;
+  // The cost table depends on spec_.cost alone, which no setter changes;
+  // the lowering is replaced by every setter.
+  std::shared_ptr<Memo<std::vector<real>>> table_ =
+      std::make_shared<Memo<std::vector<real>>>();
+  std::shared_ptr<Memo<speccomp::CompiledSpec>> lowered_ =
+      std::make_shared<Memo<speccomp::CompiledSpec>>();
+  std::shared_ptr<Memo<qaoa::ParamCircuit>> registered_circuit_ =
+      std::make_shared<Memo<qaoa::ParamCircuit>>();
 };
 
 }  // namespace mbq::api

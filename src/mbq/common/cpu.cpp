@@ -1,6 +1,8 @@
 #include "mbq/common/cpu.h"
 
 #include <cstdlib>
+#include <fstream>
+#include <utility>
 
 #include "mbq/common/error.h"
 
@@ -65,6 +67,41 @@ std::optional<SimdIsa> simd_env_override() {
                 " is not a recognized value (expected auto, scalar, avx2, "
                 "avx512, or neon)");
   }
+}
+
+std::uint64_t read_llc_bytes(const std::string& cache_dir) {
+  int best_level = 0;
+  std::uint64_t best = 0;
+  for (int idx = 0; idx < 16; ++idx) {
+    const std::string dir = cache_dir + "/index" + std::to_string(idx);
+    std::ifstream level_in(dir + "/level"), size_in(dir + "/size"),
+        type_in(dir + "/type");
+    int level = 0;
+    std::string size, type;
+    if (!(level_in >> level) || !(size_in >> size)) continue;
+    if (type_in >> type && type == "Instruction") continue;
+    char* end = nullptr;
+    std::uint64_t bytes = std::strtoull(size.c_str(), &end, 10);
+    if (end == size.c_str()) continue;
+    if (*end == 'K') bytes <<= 10;
+    if (*end == 'M') bytes <<= 20;
+    if (*end == 'G') bytes <<= 30;
+    // Level 3 wins outright; otherwise the deepest level, the larger
+    // entry on a tie.
+    const auto rank = [](int l) { return l == 3 ? 1000 : l; };
+    if (bytes > 0 && std::pair(rank(level), bytes) >
+                         std::pair(rank(best_level), best)) {
+      best_level = level;
+      best = bytes;
+    }
+  }
+  return best > 0 ? best : kFallbackLlcBytes;
+}
+
+std::uint64_t llc_bytes() {
+  static const std::uint64_t bytes =
+      read_llc_bytes("/sys/devices/system/cpu/cpu0/cache");
+  return bytes;
 }
 
 }  // namespace mbq

@@ -12,6 +12,10 @@
 // The dispatch itself — including the bit-identity self-check that can
 // reject a vector flavor — lives in sim/collapse_kernels.{h,cpp}; this
 // layer only answers "could we?" and "were we asked to?".
+//
+// It also reports the host's last-level cache size, the input
+// api::Session uses to choose between shot-level and kernel-level
+// threads (see session.h).
 
 #include <cstdint>
 #include <optional>
@@ -39,5 +43,18 @@ bool host_supports_isa(SimdIsa isa) noexcept;
 /// parsed flavor.  Throws Error on an unrecognized value — a typo must
 /// fail loudly at dispatch time, never silently fall back.
 std::optional<SimdIsa> simd_env_override();
+
+/// Last-level cache size assumed when sysfs cannot be read: 32 MiB, a
+/// conservative figure for current server parts.
+inline constexpr std::uint64_t kFallbackLlcBytes = std::uint64_t{32} << 20;
+
+/// Size in bytes of the last-level cache described by a sysfs cache
+/// directory (`<cache_dir>/index*/{level,type,size}`): the level-3 cache
+/// when one is listed, otherwise the largest level; instruction caches
+/// never count.  kFallbackLlcBytes when nothing there can be read.
+std::uint64_t read_llc_bytes(const std::string& cache_dir);
+
+/// read_llc_bytes of cpu0's sysfs cache directory, read once per process.
+std::uint64_t llc_bytes();
 
 }  // namespace mbq

@@ -1,5 +1,7 @@
 #include "mbq/mbqc/compiled.h"
 
+#include <algorithm>
+
 #include "mbq/common/bits.h"
 #include "mbq/common/error.h"
 
@@ -141,6 +143,29 @@ CompiledPattern::CompiledPattern(const Pattern& p) {
     output_wires_.push_back(w);
     output_slots_.push_back(slot(w));
   }
+
+  // Replay the tape's register width the way DynamicStatevector tracks
+  // it: preps add a wire, measures remove one, and the fused gadget and
+  // teleport blocks peak one wire above the register they run on.
+  int live = static_cast<int>(input_slots_.size());
+  peak_live_ = live;
+  for (const Op& op : tape_) {
+    switch (op.kind) {
+      case OpKind::Prep:
+      case OpKind::PrepCz:
+        peak_live_ = std::max(peak_live_, ++live);
+        break;
+      case OpKind::PrepCzMeasure:
+      case OpKind::PrepCzTeleport:
+        peak_live_ = std::max(peak_live_, live + 1);
+        break;
+      case OpKind::Measure:
+        --live;
+        break;
+      default:
+        break;
+    }
+  }
 }
 
 PatternExecutor::PatternExecutor(std::shared_ptr<const CompiledPattern> compiled,
@@ -186,6 +211,12 @@ RunResult PatternExecutor::run_forced(std::uint64_t branch) {
   for (int i = 0; i < m; ++i)
     forced_bits_[static_cast<std::size_t>(i)] = get_bit(branch, i);
   return run_forced(forced_bits_);
+}
+
+void PatternExecutor::rebind(std::shared_ptr<const CompiledPattern> compiled) {
+  MBQ_REQUIRE(compiled != nullptr, "PatternExecutor needs a compiled pattern");
+  compiled_ = std::move(compiled);
+  outcomes_.reserve(static_cast<std::size_t>(compiled_->num_measurements()));
 }
 
 RunResult PatternExecutor::execute(Rng* rng, const int* forced,
@@ -360,11 +391,12 @@ PatternExecutor& thread_local_executor(
   MBQ_REQUIRE(options.input_states.empty(),
               "thread_local_executor does not support input_states; "
               "construct a PatternExecutor directly");
-  thread_local std::shared_ptr<const CompiledPattern> cached;
   thread_local std::unique_ptr<PatternExecutor> executor;
-  if (cached != compiled || !(executor->options() == options)) {
+  if (executor == nullptr || !(executor->options() == options) ||
+      executor->compiled().peak_live() != compiled->peak_live()) {
     executor = std::make_unique<PatternExecutor>(compiled, options);
-    cached = compiled;
+  } else if (&executor->compiled() != compiled.get()) {
+    executor->rebind(compiled);
   }
   return *executor;
 }

@@ -59,6 +59,20 @@ class CompiledPattern {
   const std::vector<int>& output_wires() const noexcept {
     return output_wires_;
   }
+  /// Widest register any run of this tape reaches, computed once at
+  /// lowering: equal to the peak_live every PatternExecutor run reports
+  /// (a fused gadget or teleport block counts its fresh wire, which a
+  /// noisy run materializes).
+  int peak_live() const noexcept { return peak_live_; }
+  /// Bytes one PatternExecutor arena holds at peak: the amplitude
+  /// buffer and its ping-pong scratch, each 2^peak_live amplitudes of
+  /// precision `p`.  api::Session weighs this against the last-level
+  /// cache to choose shot-level or kernel-level threads.
+  std::uint64_t arena_bytes(Precision p) const noexcept {
+    const std::uint64_t amp = p == Precision::F64 ? sizeof(cplx)
+                                                  : sizeof(cplxf);
+    return 2 * (std::uint64_t{1} << peak_live_) * amp;
+  }
 
  private:
   friend class PatternExecutor;
@@ -118,6 +132,7 @@ class CompiledPattern {
   std::vector<int> output_slots_;
   int num_measurements_ = 0;
   int num_slots_ = 0;
+  int peak_live_ = 0;
 };
 
 /// Per-executor knobs: RunOptions minus `forced`, which is a per-run
@@ -184,6 +199,10 @@ class PatternExecutor {
   /// `branch` (the run_all_branches enumeration order).
   RunResult run_forced(std::uint64_t branch);
 
+  /// Replay `compiled` from now on, keeping the warm arena.  Every run
+  /// starts from a reset register, so results equal a fresh executor's.
+  void rebind(std::shared_ptr<const CompiledPattern> compiled);
+
  private:
   RunResult execute(Rng* rng, const int* forced, bool gather_output = true);
 
@@ -203,15 +222,20 @@ class PatternExecutor {
 /// The executor for `compiled` cached on the CURRENT thread.  Parallel
 /// shot loops call this per shot: each worker keeps one warm arena for
 /// the pattern it is currently running, which is what makes
-/// Session::sample allocation-free in steady state.  Swapping patterns —
-/// or ExecOptions (e.g. a different entangler_noise) — on a thread
-/// rebuilds its executor (cheap; the compiled tape is shared, only the
-/// arena restarts cold).  input_states are not supported through this
-/// cache (they would silently leak between callers); construct a
-/// PatternExecutor directly for those.  Retention: each pool thread pins
-/// ONE tape + arena (the pattern it last ran, ~2·16B·2^peak_live) until
-/// a different pattern replaces it — bounded by thread count, but it
-/// does outlive the owning Session.
+/// Session::sample allocation-free in steady state.  Swapping to a
+/// pattern of the same peak_live — the variational loop's next angle
+/// point on the same graph — rebinds the executor and keeps the warm
+/// arena; a different peak_live or different ExecOptions (e.g. another
+/// entangler_noise) rebuilds it, and the arena restarts cold.
+/// input_states are not supported through this cache (they would
+/// silently leak between callers); construct a PatternExecutor directly
+/// for those.  Retention: each thread pins ONE tape + arena (the
+/// pattern it last ran, arena_bytes() of it) until the next pattern
+/// replaces it — bounded by thread count, but it does outlive the
+/// owning Session.  Arenas too large to run side by side in the
+/// last-level cache are only built on the thread that calls into
+/// api::Session, which then runs the shots one at a time on kernel
+/// threads; pool threads keep small arenas only.
 PatternExecutor& thread_local_executor(
     const std::shared_ptr<const CompiledPattern>& compiled,
     const ExecOptions& options = {});

@@ -11,11 +11,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
+#include <unistd.h>
 
 #include "mbq/api/api.h"
+#include "mbq/api/prepared.h"
+#include "mbq/common/cpu.h"
+#include "mbq/common/parallel.h"
 #include "mbq/common/rng.h"
 #include "mbq/graph/generators.h"
+#include "mbq/sim/collapse_threaded.h"
 #include "mbq/qaoa/analytic.h"
 #include "mbq/qaoa/mixers.h"
 
@@ -184,6 +194,54 @@ TEST(BackendEquivalence, CustomCircuitAnsatzAgrees) {
   EXPECT_NEAR(mbqc.expectation(a), reference.expectation(a), 1e-9);
 }
 
+/// mbqc with a prepared artifact that claims an arena far larger than
+/// any last-level cache, so choose_parallelism always picks the
+/// kernel-level path for it; records which threads ran its shots.
+class HugeArenaBackend final : public Backend {
+ public:
+  std::string name() const override { return "huge-arena"; }
+  Capabilities capabilities() const override { return inner_.capabilities(); }
+  std::shared_ptr<const Prepared> prepare(const Workload& w,
+                                          const Angles& a) const override {
+    auto prep = std::make_shared<PreparedPattern>(
+        dynamic_cast<const PreparedPattern&>(*inner_.prepare(w, a)));
+    prep->arena_bytes = kBytes;
+    return prep;
+  }
+  real expectation(const Workload& w, const Angles& a, Rng& rng,
+                   const Prepared* prep) const override {
+    note_thread();
+    return inner_.expectation(w, a, rng, prep);
+  }
+  std::uint64_t sample_one(const Workload& w, const Angles& a, Rng& rng,
+                           const Prepared* prep) const override {
+    note_thread();
+    return inner_.sample_one(w, a, rng, prep);
+  }
+  std::set<std::thread::id> threads() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+  static constexpr std::uint64_t kBytes = std::uint64_t{1} << 50;
+
+ private:
+  void note_thread() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+  }
+  MbqcBackend inner_;
+  mutable std::mutex mutex_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+/// Pins the kernel thread count for one test, then restores env
+/// resolution.
+struct KernelThreadsGuard {
+  explicit KernelThreadsGuard(int n) { thr::set_kernel_threads(n); }
+  ~KernelThreadsGuard() { thr::set_kernel_threads(0); }
+};
+
 TEST(Session, SamplingIsReproducibleAndThreadCountIndependent) {
   const Workload w = Workload::maxcut(cycle_graph(4));
   const Angles a({0.6}, {0.4});
@@ -191,17 +249,130 @@ TEST(Session, SamplingIsReproducibleAndThreadCountIndependent) {
   SessionOptions parallel{.seed = 7, .parallel_shots = true};
   Session s1(w, "mbqc", serial);
   Session s2(w, "mbqc", parallel);
+  // The same options, but choose_parallelism picks the kernel-level path.
+  const KernelThreadsGuard kernel_threads(2);
+  ASSERT_EQ(choose_parallelism(HugeArenaBackend::kBytes, 64, num_threads(),
+                               thr::kernel_threads(), llc_bytes()),
+            Parallelism::kKernels);
+  auto huge = std::make_shared<HugeArenaBackend>();
+  Session s3(w, huge, parallel);
   const SampleResult r1 = s1.sample(a, 64);
   const SampleResult r2 = s2.sample(a, 64);
+  const SampleResult rk = s3.sample(a, 64);
   ASSERT_EQ(r1.shots.size(), r2.shots.size());
-  for (std::size_t i = 0; i < r1.shots.size(); ++i)
+  ASSERT_EQ(r1.shots.size(), rk.shots.size());
+  for (std::size_t i = 0; i < r1.shots.size(); ++i) {
     EXPECT_EQ(r1.shots[i].x, r2.shots[i].x) << i;
+    EXPECT_EQ(r1.shots[i].x, rk.shots[i].x) << i;
+  }
   // Distinct calls draw distinct streams.
   const SampleResult r3 = s1.sample(a, 64);
   bool any_differ = false;
   for (std::size_t i = 0; i < r1.shots.size(); ++i)
     any_differ |= (r1.shots[i].x != r3.shots[i].x);
   EXPECT_TRUE(any_differ);
+  // Batches on s2 and s3, whose call counters agree.
+  const std::vector<Angles> points = {a, Angles({0.2}, {-0.3})};
+  const auto b2 = s2.sample_batch(points, 32);
+  const auto bk = s3.sample_batch(points, 32);
+  for (std::size_t p = 0; p < points.size(); ++p)
+    for (std::size_t i = 0; i < b2[p].shots.size(); ++i)
+      EXPECT_EQ(b2[p].shots[i].x, bk[p].shots[i].x) << p << "/" << i;
+  EXPECT_EQ(s2.expectation_batch(points), s3.expectation_batch(points));
+  // The kernel-level path ran every shot and point on the calling thread.
+  EXPECT_EQ(huge->threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(Parallelism, FootprintAgainstLastLevelCache) {
+  // 3-regular MaxCut at p = 1 as the mbqc backend prepares it: the arena
+  // spans the n problem wires plus one gadget wire, twice (arena and
+  // ping-pong scratch).
+  const Angles a({0.3}, {0.2});
+  const auto footprint = [&](int n, Precision prec) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    Workload w = Workload::maxcut(random_regular_graph(n, 3, rng));
+    w.with_precision(prec);
+    return MbqcBackend().prepare(w, a)->executor_bytes();
+  };
+  constexpr std::uint64_t MiB = std::uint64_t{1} << 20;
+  EXPECT_EQ(footprint(14, Precision::F64), 1 * MiB);
+  EXPECT_EQ(footprint(18, Precision::F64), 16 * MiB);
+  EXPECT_EQ(footprint(20, Precision::F64), 64 * MiB);
+  EXPECT_EQ(footprint(20, Precision::F32), 32 * MiB);
+
+  // A 4-core host with a 105 MiB L3: shot-level through n = 18,
+  // kernel-level at n = 20 in either precision.
+  const std::uint64_t llc = 105 * MiB;
+  const auto pick = [&](int n, Precision prec) {
+    return choose_parallelism(footprint(n, prec), 16, 4, 4, llc);
+  };
+  EXPECT_EQ(pick(14, Precision::F64), Parallelism::kShots);
+  EXPECT_EQ(pick(14, Precision::F32), Parallelism::kShots);
+  EXPECT_EQ(pick(18, Precision::F64), Parallelism::kShots);
+  EXPECT_EQ(pick(18, Precision::F32), Parallelism::kShots);
+  EXPECT_EQ(pick(20, Precision::F64), Parallelism::kKernels);
+  EXPECT_EQ(pick(20, Precision::F32), Parallelism::kKernels);
+  // A 32 MiB L3 moves n = 18 f64 (4 x 16 MiB) to kernel level, not f32.
+  EXPECT_EQ(choose_parallelism(footprint(18, Precision::F64), 16, 4, 4,
+                               32 * MiB),
+            Parallelism::kKernels);
+  EXPECT_EQ(choose_parallelism(footprint(18, Precision::F32), 16, 4, 4,
+                               32 * MiB),
+            Parallelism::kShots);
+}
+
+TEST(Parallelism, EdgeCases) {
+  constexpr std::uint64_t MiB = std::uint64_t{1} << 20;
+  // One kernel thread: a serial loop would idle every other core.
+  EXPECT_EQ(choose_parallelism(64 * MiB, 16, 4, 1, 105 * MiB),
+            Parallelism::kShots);
+  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 4, 1, 105 * MiB),
+            Parallelism::kShots);
+  // One shot runs on the calling thread with every kernel thread.
+  EXPECT_EQ(choose_parallelism(1 * MiB, 1, 4, 4, 105 * MiB),
+            Parallelism::kKernels);
+  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 4, 4, 105 * MiB),
+            Parallelism::kKernels);
+  // No reported footprint keeps shots in parallel.
+  EXPECT_EQ(choose_parallelism(0, 16, 4, 4, 1), Parallelism::kShots);
+  // The threshold is strict: arenas that exactly fill the cache fit.
+  EXPECT_EQ(choose_parallelism(25 * MiB, 16, 4, 4, 100 * MiB),
+            Parallelism::kShots);
+  EXPECT_EQ(choose_parallelism(25 * MiB + 1, 16, 4, 4, 100 * MiB),
+            Parallelism::kKernels);
+}
+
+TEST(Parallelism, LastLevelCacheFromSysfs) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("mbq_llc_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  const auto add = [&](int idx, const std::string& level,
+                       const std::string& type, const std::string& size) {
+    const fs::path dir = root / ("index" + std::to_string(idx));
+    fs::create_directories(dir);
+    std::ofstream(dir / "level") << level << "\n";
+    std::ofstream(dir / "type") << type << "\n";
+    std::ofstream(dir / "size") << size << "\n";
+  };
+  // Nothing readable: the fallback constant.
+  EXPECT_EQ(read_llc_bytes((root / "missing").string()), kFallbackLlcBytes);
+  fs::create_directories(root);
+  EXPECT_EQ(read_llc_bytes(root.string()), kFallbackLlcBytes);
+  add(0, "garbage", "Data", "48K");
+  EXPECT_EQ(read_llc_bytes(root.string()), kFallbackLlcBytes);
+  // Only L1/L2: the largest level wins; instruction caches never count.
+  add(0, "1", "Data", "48K");
+  add(1, "1", "Instruction", "4096K");
+  add(2, "2", "Unified", "2048K");
+  EXPECT_EQ(read_llc_bytes(root.string()), std::uint64_t{2048} << 10);
+  // An L3 wins over everything, even a larger L4.
+  add(3, "3", "Unified", "107520K");
+  add(4, "4", "Unified", "1G");
+  EXPECT_EQ(read_llc_bytes(root.string()), std::uint64_t{105} << 20);
+  fs::remove_all(root);
+  EXPECT_GT(llc_bytes(), 0u);
 }
 
 TEST(Session, PatternCacheHitsOnRepeatedAngles) {

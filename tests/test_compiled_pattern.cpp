@@ -352,6 +352,31 @@ TEST(CompiledPattern, LoweringStatistics) {
   EXPECT_THROW(CompiledPattern{bad}, Error);
 }
 
+TEST(CompiledPattern, StaticPeakLiveMatchesEveryRun) {
+  // peak_live() is computed once at lowering; every run, plain or noisy
+  // (which materializes the fused blocks' fresh wire), must report it.
+  for (const Shape& shape : shape_patterns()) {
+    const auto compiled = std::make_shared<const CompiledPattern>(shape.pattern);
+    PatternExecutor plain(compiled);
+    PatternExecutor noisy(compiled, {.entangler_noise = 0.2});
+    Rng rng(11);
+    for (int shot = 0; shot < 4; ++shot) {
+      EXPECT_EQ(plain.run_sample(rng).peak_live, compiled->peak_live())
+          << shape.name;
+      EXPECT_EQ(noisy.run_sample(rng).peak_live, compiled->peak_live())
+          << shape.name;
+    }
+    const std::uint64_t dim = std::uint64_t{1} << compiled->peak_live();
+    EXPECT_EQ(compiled->arena_bytes(Precision::F64), 2 * dim * sizeof(cplx))
+        << shape.name;
+    EXPECT_EQ(compiled->arena_bytes(Precision::F32), 2 * dim * sizeof(cplxf))
+        << shape.name;
+  }
+  // The zz gadget fuses to one op whose fresh wire sits on top of the
+  // two-wire register.
+  EXPECT_EQ(CompiledPattern(zz_gadget(0.5)).peak_live(), 3);
+}
+
 TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothing) {
   // The executor's documented contract: once the arena, the outcome
   // buffer and the cached readout gather table have reached their
@@ -370,6 +395,37 @@ TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothing) {
   for (int shot = 0; shot < 50; ++shot) sink ^= exec.run_sample(rng).x;
   const std::uint64_t after = g_alloc_count.load();
   EXPECT_EQ(after - before, 0u) << "sink " << sink;
+}
+
+TEST(CompiledPattern, ThreadLocalExecutorKeepsArenaAcrossAnglePoints) {
+  // A variational loop alternates angle points on one graph: the
+  // patterns share their peak_live, so the thread's executor is rebound
+  // instead of rebuilt, and alternating allocates nothing once warm.
+  // Each shot still equals a fresh executor's.
+  Rng rng(37);
+  const auto cost = qaoa::CostHamiltonian::maxcut(cycle_graph(8));
+  std::vector<std::shared_ptr<const CompiledPattern>> points;
+  for (int k = 0; k < 2; ++k)
+    points.push_back(std::make_shared<const CompiledPattern>(
+        core::compile_qaoa(cost, qaoa::Angles::random(2, rng)).pattern));
+  ASSERT_EQ(points[0]->peak_live(), points[1]->peak_live());
+  PatternExecutor* first = &thread_local_executor(points[0]);
+  EXPECT_EQ(&thread_local_executor(points[1]), first);
+  for (int shot = 0; shot < 4; ++shot)
+    thread_local_executor(points[shot % 2]).run_sample(rng);  // warm up
+  const std::uint64_t before = g_alloc_count.load();
+  std::uint64_t sink = 0;
+  for (int shot = 0; shot < 20; ++shot)
+    sink ^= thread_local_executor(points[shot % 2]).run_sample(rng).x;
+  EXPECT_EQ(g_alloc_count.load() - before, 0u) << "sink " << sink;
+  for (int k = 0; k < 2; ++k) {
+    Rng a(100 + k), b(100 + k);
+    PatternExecutor fresh(points[k]);
+    EXPECT_EQ(thread_local_executor(points[k]).run_sample(a).x,
+              fresh.run_sample(b).x);
+    EXPECT_EQ(thread_local_executor(points[k]).last_outcomes(),
+              fresh.last_outcomes());
+  }
 }
 
 TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothingWithThreads) {

@@ -9,9 +9,10 @@
 // Determinism: requests carry (seed, stream indices), never generator
 // state, so results are independent of which worker runs a slice and of
 // everything this process did before.  Workers run their slices
-// serially — process count is the parallelism axis here, and results
-// are bit-identical regardless (set MBQ_WORKER_THREADS to opt into
-// intra-worker OpenMP threading on large registers).
+// serially on one thread, kernel sweeps included — process count is the
+// parallelism axis here, and results are bit-identical regardless (set
+// MBQ_WORKER_THREADS to give each worker that many OpenMP and kernel
+// threads on large registers).
 
 #include <unistd.h>
 
@@ -25,6 +26,7 @@
 #include "mbq/common/parallel.h"
 #include "mbq/shard/protocol.h"
 #include "mbq/shard/task.h"
+#include "mbq/sim/collapse_threaded.h"
 #include "mbq/speccomp/json.h"
 
 namespace {
@@ -77,13 +79,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Workers default to one thread apiece: the pool already keys its
-  // worker count to the cores it wants used, and nested OpenMP teams in
-  // every child would oversubscribe the box.
+  // Workers default to one thread apiece, for the kernel sweeps too:
+  // the pool and the daemon already key their worker count to the cores
+  // they want used, and an OpenMP team in every child would
+  // oversubscribe the box.
   int worker_threads = 1;
   if (const char* env = std::getenv("MBQ_WORKER_THREADS"))
     if (const int n = std::atoi(env); n >= 1) worker_threads = n;
   set_num_threads(worker_threads);
+  thr::set_kernel_threads(worker_threads);
 
   try {
     while (true) {
