@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "mbq/qaoa/qaoa.h"
 #include "mbq/sim/collapse_kernels.h"
 #include "mbq/sim/collapse_threaded.h"
+#include "mbq/sim/dynamic_statevector.h"
 #include "mbq/stab/tableau.h"
 
 namespace {
@@ -289,6 +291,85 @@ void BM_LargeNSampleF32(benchmark::State& state) {
 BENCHMARK(BM_LargeNSampleF32)
     ->Arg(18)->Arg(20)->Arg(22)->Arg(24)
     ->Unit(benchmark::kMillisecond);
+
+// One fused J-step teleport (prep_cz_teleport_measure with the measured
+// wire as the fresh wire's CZ partner, the mixer-chain shape) on a
+// 20-wire register, by the measured wire's bit position q.  Positions
+// below log2(complex lanes per register) pair amplitudes inside one
+// vector register; this row shows whether they run as fast as a wide
+// stride (q = 19).  Runs at the resolved kernel thread count.  Each row
+// first replays a few teleports against the scalar single-threaded leg
+// and SkipWithError's on any divergence in outcomes or amplitudes.
+struct TeleportLoop {
+  static constexpr int kWires = 20;
+  DynamicStatevector dsv;
+  Rng rng{23};
+  int spare = kWires;  // the fresh wire id; the measured id is reused
+  const Matrix basis = measurement_basis(MeasBasis::XY, 0.7);
+
+  TeleportLoop() {
+    for (int w = 0; w < kWires; ++w) dsv.add_wire(w);
+    for (int w = 0; w < kWires; ++w) dsv.apply_rz(w, 0.1 + 0.05 * w);
+    const std::uint64_t cz[2] = {0b1011, std::uint64_t{0b11} << 17};
+    dsv.apply_cz_masks(cz, 2);
+  }
+  int step(int q) {
+    const int meas = dsv.wire_order()[static_cast<std::size_t>(q)];
+    const int out = dsv.prep_cz_teleport_measure(spare, std::uint64_t{1} << q,
+                                                 meas, basis, rng);
+    spare = meas;
+    return out;
+  }
+};
+
+void BM_TeleportByPosition(benchmark::State& state, SimdIsa isa) {
+  if (kernels_for_isa(isa) == nullptr) {
+    state.SkipWithError("flavor not available on this host");
+    return;
+  }
+  const SimdIsa orig = active_simd_isa();
+  const int threads = thr::kernel_threads();
+  const int q = static_cast<int>(state.range(0));
+
+  auto replay = [&](SimdIsa leg, int t) {
+    force_simd_isa(leg);
+    thr::set_kernel_threads(t);
+    TeleportLoop loop;
+    std::vector<int> outs;
+    for (int i = 0; i < 3; ++i) outs.push_back(loop.step(q));
+    return std::pair{outs, loop.dsv.state_in_order(loop.dsv.wire_order())};
+  };
+  const auto want = replay(SimdIsa::Scalar, 1);
+  const auto got = replay(isa, threads);
+  if (want.first != got.first ||
+      std::memcmp(want.second.data(), got.second.data(),
+                  want.second.size() * sizeof(cplx)) != 0) {
+    force_simd_isa(orig);
+    thr::set_kernel_threads(threads);
+    state.SkipWithError("teleports diverged from the scalar 1-thread leg");
+    return;
+  }
+
+  force_simd_isa(isa);
+  thr::set_kernel_threads(threads);
+  TeleportLoop loop;
+  for (auto _ : state) benchmark::DoNotOptimize(loop.step(q));
+  state.counters["kernel_threads"] = threads;
+  state.SetLabel(isa_name(isa));
+  force_simd_isa(orig);
+}
+BENCHMARK_CAPTURE(BM_TeleportByPosition, scalar, SimdIsa::Scalar)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(19)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TeleportByPosition, avx2, SimdIsa::Avx2)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(19)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TeleportByPosition, avx512, SimdIsa::Avx512)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(19)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TeleportByPosition, neon, SimdIsa::Neon)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(19)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_PatternRunClifford(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -139,6 +139,25 @@ CompiledPattern::CompiledPattern(const Pattern& p) {
     tape_.push_back(op);
   }
 
+  // A tape with no inputs opens on the empty register; its leading
+  // plain preps (every wire of a QAOA pattern unless the schedule defers
+  // them) become one arena fill.  They are the slots' first uses, so the
+  // slots are consecutive.
+  std::size_t run = 0;
+  while (input_slots_.empty() && run < tape_.size() &&
+         tape_[run].kind == OpKind::Prep &&
+         tape_[run].a == tape_[0].a + static_cast<std::int32_t>(run))
+    ++run;
+  if (run >= 2) {
+    Op fill{};
+    fill.kind = OpKind::PrepRun;
+    fill.a = tape_[0].a;
+    fill.b = static_cast<std::int32_t>(run);
+    tape_.erase(tape_.begin() + 1,
+                tape_.begin() + static_cast<std::ptrdiff_t>(run));
+    tape_[0] = fill;
+  }
+
   for (const int w : p.outputs()) {
     output_wires_.push_back(w);
     output_slots_.push_back(slot(w));
@@ -151,6 +170,10 @@ CompiledPattern::CompiledPattern(const Pattern& p) {
   peak_live_ = live;
   for (const Op& op : tape_) {
     switch (op.kind) {
+      case OpKind::PrepRun:
+        live += op.b;
+        peak_live_ = std::max(peak_live_, live);
+        break;
       case OpKind::Prep:
       case OpKind::PrepCz:
         peak_live_ = std::max(peak_live_, ++live);
@@ -290,6 +313,10 @@ RunResult PatternExecutor::execute(Rng* rng, const int* forced,
 
   for (const CompiledPattern::Op& op : cp.tape_) {
     switch (op.kind) {
+      case CompiledPattern::OpKind::PrepRun:
+        // Noise only draws on E commands, so noisy runs fill too.
+        dsv_.add_plus_wires(op.a, op.b);
+        break;
       case CompiledPattern::OpKind::Prep:
         dsv_.add_wire(op.a, /*plus=*/true);
         break;

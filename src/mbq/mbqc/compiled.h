@@ -11,11 +11,12 @@
 //   * both sign variants ((-1)^s · angle) of every fixed-angle
 //     measurement basis prebuilt — at runtime an adaptive measurement
 //     is a branch-free table pick, not a Matrix construction,
-//   * FUSED ops where the command stream allows it: a prep and its
-//     trailing CZs collapse into one amplitude pass; the paper's gadget
-//     blocks (N; E...; M of the fresh wire) become a single op that
-//     never materializes the doubled register; runs of X/Z corrections
-//     compose into one Pauli-product pass.
+//   * FUSED ops where the command stream allows it: the run of plain
+//     |+> preps that opens a tape with no inputs fills the arena in one
+//     pass; a prep and its trailing CZs collapse into one amplitude
+//     pass; the paper's gadget blocks (N; E...; M of the fresh wire)
+//     become a single op that never materializes the doubled register;
+//     runs of X/Z corrections compose into one Pauli-product pass.
 // A PatternExecutor then replays the tape against a single
 // DynamicStatevector arena (reset in place between shots, so the
 // steady-state shot loop allocates nothing) and draws from the Rng in
@@ -78,6 +79,7 @@ class CompiledPattern {
   friend class PatternExecutor;
 
   enum class OpKind : std::uint8_t {
+    PrepRun,         // preps of slots a .. a+b−1 on the empty register
     Prep,            // a = slot
     PrepCz,          // prep a + CZ against pairs[p_begin, p_end)
     PrepCzMeasure,   // as PrepCz, then measure a itself (gadget block)

@@ -112,7 +112,7 @@ bool run_battery(const CollapseKernelsT<R>& k) {
         const R fb =
             k.prep_collapse(x.data(), oy.data(), dim, pmask, e0, e1, kInvSqrt2);
         if (!same(fa, fb) || !same(ox, oy)) return false;
-        for (int q : {0, 2, 4}) {
+        for (int q : {0, 1, 2, 4}) {
           ox.assign(dim, C{});
           oy.assign(dim, C{});
           ref.teleport_collapse(x.data(), ox.data(), dim, q, pmask, e0, e1,
@@ -233,7 +233,7 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       return false;
   }
 
-  for (int q : {0, 13, 14}) {  // stride < C, == C, > C
+  for (int q : {0, 1, 2, 13, 14}) {  // in-register, stride < C, == C, > C
     fill(x, 2 * dim, 0xFACE ^ static_cast<std::uint64_t>(q));
     ox.assign(dim, C{});
     const auto fa =
@@ -270,7 +270,7 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       return false;
   }
 
-  for (int q : {2, 13}) {
+  for (int q : {0, 1, 2, 13}) {  // in-register pairs and wide strides
     fill(x, dim, 0x7E1E ^ static_cast<std::uint64_t>(q));
     ox.assign(dim, C{});
     const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim, q,

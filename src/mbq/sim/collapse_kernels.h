@@ -116,10 +116,14 @@ inline std::complex<R> eff_mul(EffKind k, const std::complex<R>& e,
 
 /// One ISA flavor of the hot-loop kernels for element type R.  All
 /// folds follow the canonical kFoldLanes<R>-lane scheme above; all
-/// entries are safe for any n ≥ 1 (vector flavors delegate awkward
-/// shapes — tiny or non-multiple-of-block sizes, strides below the
-/// vector width — to the scalar reference, which is bit-identical by
-/// the contract).
+/// entries are safe for any n ≥ 1.  Vector flavors delegate awkward
+/// shapes to the scalar reference, which is bit-identical by the
+/// contract: tiny or non-multiple-of-block sizes; teleports with a CZ
+/// partner below the measured wire; and strides below the vector width
+/// in phase_pass, the Pauli swaps, and (on flavors without an
+/// in-register split, see collapse_kernels_vec.h) the pair kernels.
+/// collapse_pairs and the teleports split in-register pairs on AVX2 and
+/// AVX-512, so every bit position runs vectorized there.
 template <class R>
 struct CollapseKernelsT {
   using C = std::complex<R>;

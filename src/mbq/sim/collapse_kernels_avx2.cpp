@@ -30,11 +30,6 @@ struct Avx2Traits {
   /// [re0,im0,re1,im1] -> [im0,re0,im1,re1] (swap within 128-bit pairs).
   static V swap_pairs(V v) noexcept { return _mm256_permute_pd(v, 0b0101); }
   static V xor_signs(V v, V m) noexcept { return _mm256_xor_pd(v, m); }
-  static V neg(V v) noexcept {
-    return _mm256_xor_pd(
-        v, _mm256_castsi256_pd(_mm256_set1_epi64x(
-               static_cast<long long>(kSignBit))));
-  }
   /// Negate the re lanes (stream-even positions) only.
   static V neg_even(V v) noexcept {
     return _mm256_xor_pd(
@@ -42,6 +37,16 @@ struct Avx2Traits {
                0, static_cast<long long>(kSignBit), 0,
                static_cast<long long>(kSignBit))));
   }
+  /// Split the 2+2 amplitudes of v0:v1 into their bit-0-clear and
+  /// bit-0-set members (q = 0 is the only in-register stride): the low
+  /// and high 128-bit halves.
+  struct Deinterleave {
+    explicit Deinterleave(int /*q*/) noexcept {}
+    void operator()(V v0, V v1, V& lo, V& hi) const noexcept {
+      lo = _mm256_permute2f128_pd(v0, v1, 0x20);
+      hi = _mm256_permute2f128_pd(v0, v1, 0x31);
+    }
+  };
 };
 
 /// f32 flavor: 8 floats / register, half the canonical 16-lane fold in
@@ -61,17 +66,34 @@ struct Avx2TraitsF32 {
   /// Swap within each 64-bit (re,im) pair: imm 0b10110001 = 2,3,0,1.
   static V swap_pairs(V v) noexcept { return _mm256_permute_ps(v, 0b10110001); }
   static V xor_signs(V v, V m) noexcept { return _mm256_xor_ps(v, m); }
-  static V neg(V v) noexcept {
-    return _mm256_xor_ps(
-        v, _mm256_castsi256_ps(_mm256_set1_epi32(
-               static_cast<int>(kSignBitU<float>))));
-  }
   /// Negate the re lanes (stream-even positions) only.
   static V neg_even(V v) noexcept {
     const int s = static_cast<int>(kSignBitU<float>);
     return _mm256_xor_ps(
         v, _mm256_castsi256_ps(_mm256_set_epi32(0, s, 0, s, 0, s, 0, s)));
   }
+  /// Split the 4+4 amplitudes of v0:v1 into their bit-q-clear and
+  /// bit-q-set members, moving whole 64-bit (re, im) pairs: q = 1 takes
+  /// the 128-bit halves, q = 0 unpacks even/odd amplitudes and restores
+  /// ascending order with a cross-lane permute.
+  struct Deinterleave {
+    int q;
+    explicit Deinterleave(int qq) noexcept : q(qq) {}
+    void operator()(V v0, V v1, V& lo, V& hi) const noexcept {
+      const __m256d d0 = _mm256_castps_pd(v0);
+      const __m256d d1 = _mm256_castps_pd(v1);
+      if (q == 0) {
+        // unpack: [a0 a4 a2 a6] / [a1 a5 a3 a7]; 0xD8 picks 0, 2, 1, 3.
+        lo = _mm256_castpd_ps(
+            _mm256_permute4x64_pd(_mm256_unpacklo_pd(d0, d1), 0xD8));
+        hi = _mm256_castpd_ps(
+            _mm256_permute4x64_pd(_mm256_unpackhi_pd(d0, d1), 0xD8));
+      } else {
+        lo = _mm256_castpd_ps(_mm256_permute2f128_pd(d0, d1, 0x20));
+        hi = _mm256_castpd_ps(_mm256_permute2f128_pd(d0, d1, 0x31));
+      }
+    }
+  };
 };
 
 }  // namespace

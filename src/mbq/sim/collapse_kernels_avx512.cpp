@@ -29,14 +29,12 @@ struct Avx512Traits {
   static V add(V a, V b) noexcept { return _mm512_add_pd(a, b); }
   static V mul(V a, V b) noexcept { return _mm512_mul_pd(a, b); }
   /// Swap within each 128-bit (re,im) pair: imm 0x55 = 01 per pair.
-  static V swap_pairs(V v) noexcept { return _mm512_permute_pd(v, 0x55); }
+  /// (shuffle rather than permute_pd, whose GCC 12 header trips
+  /// -Wmaybe-uninitialized once inlined into the pair loops.)
+  static V swap_pairs(V v) noexcept { return _mm512_shuffle_pd(v, v, 0x55); }
   static V xor_signs(V v, V m) noexcept {
     return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(v),
                                                 _mm512_castpd_si512(m)));
-  }
-  static V neg(V v) noexcept {
-    return xor_signs(v, _mm512_castsi512_pd(_mm512_set1_epi64(
-                            static_cast<long long>(kSignBit))));
   }
   /// Negate the re lanes (stream-even positions) only.
   static V neg_even(V v) noexcept {
@@ -44,6 +42,24 @@ struct Avx512Traits {
     return xor_signs(
         v, _mm512_castsi512_pd(_mm512_set_epi64(0, s, 0, s, 0, s, 0, s)));
   }
+  /// Split the 4+4 amplitudes of v0:v1 into their bit-q-clear and
+  /// bit-q-set members (q = 0, 1), one two-source permute each.
+  struct Deinterleave {
+    __m512i lo_idx, hi_idx;
+    explicit Deinterleave(int q) noexcept {
+      alignas(64) long long lo[kW], hi[kW];
+      for (int e = 0; e < kW; ++e) {
+        lo[e] = split_source(e, q, false);
+        hi[e] = split_source(e, q, true);
+      }
+      lo_idx = _mm512_load_si512(lo);
+      hi_idx = _mm512_load_si512(hi);
+    }
+    void operator()(V v0, V v1, V& lo, V& hi) const noexcept {
+      lo = _mm512_permutex2var_pd(v0, lo_idx, v1);
+      hi = _mm512_permutex2var_pd(v0, hi_idx, v1);
+    }
+  };
 };
 
 /// f32 flavor: 16 floats / register — the whole canonical 16-lane f32
@@ -62,14 +78,10 @@ struct Avx512TraitsF32 {
   static V mul(V a, V b) noexcept { return _mm512_mul_ps(a, b); }
   /// Swap within each 64-bit (re,im) pair: imm 0xB1 = 2,3,0,1 per lane
   /// quad.
-  static V swap_pairs(V v) noexcept { return _mm512_permute_ps(v, 0xB1); }
+  static V swap_pairs(V v) noexcept { return _mm512_shuffle_ps(v, v, 0xB1); }
   static V xor_signs(V v, V m) noexcept {
     return _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v),
                                                 _mm512_castps_si512(m)));
-  }
-  static V neg(V v) noexcept {
-    return xor_signs(v, _mm512_castsi512_ps(_mm512_set1_epi32(
-                            static_cast<int>(kSignBitU<float>))));
   }
   /// Negate the re lanes (stream-even positions) only.
   static V neg_even(V v) noexcept {
@@ -77,6 +89,24 @@ struct Avx512TraitsF32 {
     return xor_signs(v, _mm512_castsi512_ps(_mm512_set_epi32(
                             0, s, 0, s, 0, s, 0, s, 0, s, 0, s, 0, s, 0, s)));
   }
+  /// Split the 8+8 amplitudes of v0:v1 into their bit-q-clear and
+  /// bit-q-set members (q = 0, 1, 2), one two-source permute each.
+  struct Deinterleave {
+    __m512i lo_idx, hi_idx;
+    explicit Deinterleave(int q) noexcept {
+      alignas(64) int lo[kW], hi[kW];
+      for (int e = 0; e < kW; ++e) {
+        lo[e] = split_source(e, q, false);
+        hi[e] = split_source(e, q, true);
+      }
+      lo_idx = _mm512_load_si512(lo);
+      hi_idx = _mm512_load_si512(hi);
+    }
+    void operator()(V v0, V v1, V& lo, V& hi) const noexcept {
+      lo = _mm512_permutex2var_ps(v0, lo_idx, v1);
+      hi = _mm512_permutex2var_ps(v0, hi_idx, v1);
+    }
+  };
 };
 
 }  // namespace

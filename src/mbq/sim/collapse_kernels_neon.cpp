@@ -35,9 +35,6 @@ struct NeonTraits {
     return vreinterpretq_f64_u64(
         veorq_u64(vreinterpretq_u64_f64(v), vreinterpretq_u64_f64(m)));
   }
-  static V neg(V v) noexcept {
-    return xor_signs(v, vreinterpretq_f64_u64(vdupq_n_u64(kSignBit)));
-  }
   /// Negate the re lane (stream-even position) only.
   static V neg_even(V v) noexcept {
     return xor_signs(v, vreinterpretq_f64_u64(vcombine_u64(
@@ -63,10 +60,6 @@ struct NeonTraitsF32 {
   static V xor_signs(V v, V m) noexcept {
     return vreinterpretq_f32_u32(
         veorq_u32(vreinterpretq_u32_f32(v), vreinterpretq_u32_f32(m)));
-  }
-  static V neg(V v) noexcept {
-    return xor_signs(v,
-                     vreinterpretq_f32_u32(vdupq_n_u32(kSignBitU<float>)));
   }
   /// Negate the re lanes (stream-even positions) only.
   static V neg_even(V v) noexcept {

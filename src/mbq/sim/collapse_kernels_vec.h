@@ -3,10 +3,11 @@
 //
 // Each ISA TU (collapse_kernels_{avx2,avx512,neon}.cpp) supplies a small
 // Traits type — an element type R (double or float), W elements per
-// register plus load/store/add/mul and three sign-bit xors — and
-// instantiates make_vec_table<Traits>.  Everything else (lane
-// bookkeeping, effect products, delegation rules) lives here ONCE, so
-// the flavors cannot drift apart.
+// register plus load/store/add/mul and two sign-bit xors, and
+// optionally a Deinterleave permute (below) — and instantiates
+// make_vec_table<Traits>.  Everything else (lane bookkeeping, effect
+// products, delegation rules) lives here ONCE, so the flavors cannot
+// drift apart.
 //
 // Bitwise identity with the scalar reference comes from two facts:
 //  * elementwise ops (mul/add/xor per lane) are the same IEEE operations
@@ -18,10 +19,26 @@
 //    its squares to lanes m..m+W−1 mod L, which is exactly what the
 //    scalar reference's running lanes receive.
 // Shapes that would break lane alignment (sizes not a multiple of L/2
-// amplitudes, strides narrower than the register) delegate to the
-// scalar table — same bits, just slower; real registers are powers of
-// two so the delegation never triggers past small dims.
+// amplitudes) delegate to the scalar table — same bits, just slower;
+// real registers are powers of two so that never triggers past small
+// dims.
+//
+// IN-REGISTER PAIRS.  When the measured wire's stride is narrower than
+// the register (q < log2 of the complex lanes per register), both
+// members of a pair sit in the same 2·W-element block.  The pair
+// kernels (collapse_pairs, teleport_collapse, teleport_collapse_range)
+// load the block as two registers and split it with the traits'
+// Deinterleave(q) into its bit-q-clear and bit-q-set members, each in
+// ascending pair-rank order; the arithmetic after the split is the
+// wide-stride arithmetic unchanged, and the outputs stay contiguous in
+// rank order, so the fold lanes do not move.  A flavor without
+// Deinterleave (NEON today) keeps delegating these strides to scalar,
+// as do the other narrow-stride kernels (phase_pass, pauli swaps with
+// low xmask bits).  The teleports still delegate when a CZ partner
+// sits below the measured wire (the mixer J chains never produce that
+// shape).
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -40,6 +57,15 @@ using UIntOf = std::conditional_t<sizeof(R) == 8, std::uint64_t, std::uint32_t>;
 template <class R>
 inline constexpr UIntOf<R> kSignBitU = UIntOf<R>{1} << (sizeof(R) * 8 - 1);
 
+/// For a Deinterleave(q) built from a two-source permute: the element of
+/// the register pair v0:v1 (elements 0..2W−1, v1 second) that lands in
+/// element e of the bit-q-clear half (hi = false) or the bit-q-set half.
+constexpr int split_source(int e, int q, bool hi) noexcept {
+  const std::uint64_t amp = insert_zero_bit(std::uint64_t(e / 2), q) |
+                            (hi ? std::uint64_t{1} << q : 0);
+  return static_cast<int>(2 * amp) + (e & 1);
+}
+
 template <class T>
 struct VecKernels {
   using R = typename T::R;            // element type (double or float)
@@ -50,6 +76,8 @@ struct VecKernels {
   static constexpr int kL = kFoldLanes<R>;  // canonical fold lanes
   static constexpr int kQ = kL / 2;   // delegation quantum, in amplitudes
   using V = typename T::V;
+  /// Whether the flavor can split in-register pairs (stride < kWc).
+  static constexpr bool kSplits = requires { typename T::Deinterleave; };
 
   // std::complex<R> is array-layout-compatible with R[2].
   static const R* dp(const C* x) noexcept {
@@ -126,6 +154,98 @@ struct VecKernels {
     }
   };
 
+  /// Calls body(k, u0, u1) for pair ranks k = k_begin, k_begin + kWc,
+  /// ... < k_end (k_begin a multiple of kWc), where u0 / u1 hold the kWc
+  /// amplitudes x[i0] / x[i0 | 1<<q], i0 = insert_zero_bit(k + t, q),
+  /// t = 0..kWc−1.  A wide stride reads two contiguous runs; an
+  /// in-register stride reads the 2·kWc-amplitude block at 2k and splits
+  /// it.  Callers send in-register strides to scalar unless kSplits.
+  template <class Body>
+  static void for_pairs(const R* p, int q, std::uint64_t k_begin,
+                        std::uint64_t k_end, Body&& body) {
+    const std::uint64_t stride = std::uint64_t{1} << q;
+    if (stride >= std::uint64_t(kWc)) {
+      for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
+        const std::uint64_t i0 = insert_zero_bit(k, q);
+        body(k, T::load(p + 2 * i0), T::load(p + 2 * (i0 | stride)));
+      }
+    } else if constexpr (kSplits) {
+      const typename T::Deinterleave split(q);
+      for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
+        V u0, u1;
+        split(T::load(p + 4 * k), T::load(p + 4 * k + kW), u0, u1);
+        body(k, u0, u1);
+      }
+    }
+  }
+
+  /// True when a pair kernel at stride 2^q must delegate to scalar.
+  static bool narrow_unsplit(int q) noexcept {
+    return !kSplits && (std::uint64_t{1} << q) < std::uint64_t(kWc);
+  }
+
+  /// The ± signs of a teleport's upper half, per lane of the kWc-rank
+  /// step at r: a is negated when parity(i0 & pmask) is odd, b when that
+  /// parity differs from bit q of pmask.  With pmask clear below q,
+  /// i0(r + t) = i0(r) | insert_zero_bit(t, q) (disjoint bits), so the
+  /// parity splits into a per-step base and a fixed in-step lane pattern
+  /// — constant for wide strides, varying when a partner bit lands
+  /// inside an in-register block.
+  struct TeleportSigns {
+    V a[2], b[2];
+    std::uint64_t pmask;
+    TeleportSigns(int q, std::uint64_t pm) noexcept : pmask(pm) {
+      const bool pm_q = ((pm >> q) & 1) != 0;
+      alignas(64) R ba[2][kW], bb[2][kW];
+      for (int t = 0; t < kWc; ++t) {
+        const bool lane =
+            parity64(insert_zero_bit(std::uint64_t(t), q) & pm) != 0;
+        for (int h = 0; h < 2; ++h) {
+          ba[h][2 * t] = ba[h][2 * t + 1] = sign_word(lane ^ (h != 0));
+          bb[h][2 * t] = bb[h][2 * t + 1] =
+              sign_word(lane ^ (h != 0) ^ pm_q);
+        }
+      }
+      for (int h = 0; h < 2; ++h) {
+        a[h] = T::load(ba[h]);
+        b[h] = T::load(bb[h]);
+      }
+    }
+    /// Sign-flip (exact, like the scalar −a) of the step at i0 = i0(r).
+    V upper(V av, V bv, std::uint64_t i0) const noexcept {
+      const int h = parity64(i0 & pmask);
+      return T::add(T::xor_signs(av, a[h]), T::xor_signs(bv, b[h]));
+    }
+  };
+
+  /// The teleport projection over pair ranks [r_begin, r_end), both
+  /// multiples of kWc: out[r] = a + b and out[dim/2 + r] = ±a ± b with
+  /// a, b the scaled effect products.  Folds each half into acc_lo /
+  /// acc_hi when given.
+  static void teleport_steps(const C* x, C* out, std::uint64_t dim, int q,
+                             std::uint64_t pmask, C e0, C e1, R s,
+                             std::uint64_t r_begin, std::uint64_t r_end,
+                             Acc* acc_lo, Acc* acc_hi) {
+    const std::uint64_t rest_count = dim / 2;
+    R* o = dp(out);
+    const V sv = T::set1(s);
+    const Eff f0(e0), f1(e1);
+    const TeleportSigns signs(q, pmask);
+    for_pairs(dp(x), q, r_begin, r_end, [&](std::uint64_t r, V u0, V u1) {
+      const V a = f0.apply(T::mul(u0, sv));
+      const V b = f1.apply(T::mul(u1, sv));
+      const V r0 = T::add(a, b);
+      T::store(o + 2 * r, r0);
+      // Sign AFTER the product, as the scalar path always has.
+      const V r1 = signs.upper(a, b, insert_zero_bit(r, q));
+      T::store(o + 2 * (rest_count + r), r1);
+      if (acc_lo != nullptr) {
+        acc_lo->add(r0);
+        acc_hi->add(r1);
+      }
+    });
+  }
+
   static R fold_norms(const C* x, std::uint64_t n) {
     if (n % kQ != 0) return scalar_kernels_t<R>().fold_norms(x, n);
     const R* p = dp(x);
@@ -170,21 +290,16 @@ struct VecKernels {
 
   static R collapse_pairs(const C* x, C* out, std::uint64_t pairs, int q,
                           C e0, C e1) {
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    if (pairs % kQ != 0 || stride < std::uint64_t(kWc))
+    if (pairs % kQ != 0 || narrow_unsplit(q))
       return scalar_kernels_t<R>().collapse_pairs(x, out, pairs, q, e0, e1);
-    const R* p = dp(x);
     R* o = dp(out);
     const Eff f0(e0), f1(e1);
     Acc acc;
-    for (std::uint64_t k = 0; k < pairs; k += kWc) {
-      const std::uint64_t i0 = insert_zero_bit(k, q);
-      const V a = f0.apply(T::load(p + 2 * i0));
-      const V b = f1.apply(T::load(p + 2 * (i0 | stride)));
-      const V r = T::add(a, b);
+    for_pairs(dp(x), q, 0, pairs, [&](std::uint64_t k, V u0, V u1) {
+      const V r = T::add(f0.apply(u0), f1.apply(u1));
       T::store(o + 2 * k, r);
       acc.add(r);
-    }
+    });
     return acc.combine();
   }
 
@@ -214,34 +329,16 @@ struct VecKernels {
     const std::uint64_t stride = std::uint64_t{1} << q;
     // A partner below the measured wire makes the ± signs vary inside a
     // block — rare (mixer J chains never do it); leave it to scalar.
-    if (dim % kQ != 0 || stride < std::uint64_t(kWc) ||
-        (pmask & (stride - 1)) != 0) {
+    // The rank loop also needs whole 2·max(stride, kWc) blocks.
+    if (dim % kQ != 0 ||
+        dim % (2 * std::max(stride, std::uint64_t(kWc))) != 0 ||
+        narrow_unsplit(q) || (pmask & (stride - 1)) != 0) {
       scalar_kernels_t<R>().teleport_collapse(x, out, dim, q, pmask, e0, e1,
                                               s);
       return;
     }
-    const std::uint64_t rest_count = dim / 2;
-    const int pm_q = static_cast<int>((pmask >> q) & 1);
-    const R* p = dp(x);
-    R* o = dp(out);
-    const V sv = T::set1(s);
-    const Eff f0(e0), f1(e1);
-    for (std::uint64_t hp = 0; hp < rest_count >> q; ++hp) {
-      const std::uint64_t i0b = hp << (q + 1);
-      const std::uint64_t rb = hp << q;
-      const int ph = parity64(i0b & pmask);
-      const bool s0 = ph != 0;
-      const bool s1 = (ph ^ pm_q) != 0;
-      for (std::uint64_t lo = 0; lo < stride; lo += kWc) {
-        const V a = f0.apply(T::mul(T::load(p + 2 * (i0b + lo)), sv));
-        const V b =
-            f1.apply(T::mul(T::load(p + 2 * (i0b + stride + lo)), sv));
-        T::store(o + 2 * (rb + lo), T::add(a, b));
-        const V an = s0 ? T::neg(a) : a;  // sign AFTER the product,
-        const V bn = s1 ? T::neg(b) : b;  // as the scalar path always has
-        T::store(o + 2 * (rest_count + rb + lo), T::add(an, bn));
-      }
-    }
+    teleport_steps(x, out, dim, q, pmask, e0, e1, s, 0, dim / 2, nullptr,
+                   nullptr);
   }
 
   static void teleport_collapse_range(const C* x, C* out, std::uint64_t dim,
@@ -253,36 +350,16 @@ struct VecKernels {
     // The slice folds restart their lanes at r_begin, so the slice must
     // begin and end on the delegation quantum; partner bits below the
     // measured wire go to scalar as in the full pass.
-    if (stride < std::uint64_t(kWc) || (pmask & (stride - 1)) != 0 ||
+    if (narrow_unsplit(q) || (pmask & (stride - 1)) != 0 ||
         r_begin % kQ != 0 || (r_end - r_begin) % kQ != 0) {
       scalar_kernels_t<R>().teleport_collapse_range(
           x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, fold_lo, fold_hi);
       return;
     }
-    const std::uint64_t rest_count = dim / 2;
-    const int pm_q = static_cast<int>((pmask >> q) & 1);
-    const R* p = dp(x);
-    R* o = dp(out);
-    const V sv = T::set1(s);
-    const Eff f0(e0), f1(e1);
     Acc acc_lo;
     Acc acc_hi;
-    // r and stride are both multiples of kWc, so each kWc-wide step
-    // stays inside one measured-position block: i0 advances contiguously.
-    for (std::uint64_t r = r_begin; r < r_end; r += kWc) {
-      const std::uint64_t i0 = insert_zero_bit(r, q);
-      const int ph = parity64(i0 & pmask);
-      const V a = f0.apply(T::mul(T::load(p + 2 * i0), sv));
-      const V b = f1.apply(T::mul(T::load(p + 2 * (i0 | stride)), sv));
-      const V r0 = T::add(a, b);
-      T::store(o + 2 * r, r0);
-      acc_lo.add(r0);
-      const V an = ph ? T::neg(a) : a;
-      const V bn = (ph ^ pm_q) ? T::neg(b) : b;
-      const V r1 = T::add(an, bn);
-      T::store(o + 2 * (rest_count + r), r1);
-      acc_hi.add(r1);
-    }
+    teleport_steps(x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, &acc_lo,
+                   &acc_hi);
     *fold_lo = acc_lo.combine();
     *fold_hi = acc_hi.combine();
   }

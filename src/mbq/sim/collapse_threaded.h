@@ -37,6 +37,7 @@
 // both sides chunk the same array at the same boundaries — preserving
 // the compiled ≡ interpreted bit-identity the tests assert.
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -359,6 +360,20 @@ R add_plus_cz(const CollapseKernelsT<R>& k, std::complex<R>* x,
 }
 
 // --- exact passes (no folds — any decomposition is bit-identical) ------------
+
+/// x[0, n) = v: the multi-wire |+> prep of an empty register.
+template <class R>
+void fill(std::complex<R>* x, std::uint64_t n, std::complex<R> v,
+          int threads) {
+  if (!detail::chunked(n)) {
+    std::fill(x, x + n, v);
+    return;
+  }
+  const std::uint64_t nc = n / kChunkAmps;
+  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
+    std::fill(x + c * kChunkAmps, x + (c + 1) * kChunkAmps, v);
+  });
+}
 
 template <class R>
 void sign_pass(const CollapseKernelsT<R>& k, std::complex<R>* x,

@@ -107,6 +107,33 @@ void DynamicStatevector::add_wire(int wire, bool plus) {
   peak_live_ = std::max(peak_live_, num_live());
 }
 
+template <class R>
+void DynamicStatevector::add_plus_wires_impl(int count) {
+  auto& a = amps<R>();
+  const R s = static_cast<R>(1.0 / std::sqrt(2.0));
+  std::complex<R> v = a[0];
+  for (int k = 0; k < count; ++k) v *= s;
+  a.resize(std::uint64_t{1} << count);
+  thr::fill(a.data(), a.size(), v, thr::kernel_threads());
+}
+
+void DynamicStatevector::add_plus_wires(int first, int count) {
+  MBQ_REQUIRE(order_.empty(), "add_plus_wires needs an empty register");
+  MBQ_REQUIRE(count >= 0 && count <= 28, "too many live wires");
+  MBQ_REQUIRE(first >= 0, "wire ids must be non-negative, got " << first);
+  if (count == 0) return;
+  fold_valid_ = false;
+  if (prec_ == Precision::F64)
+    add_plus_wires_impl<double>(count);
+  else
+    add_plus_wires_impl<float>(count);
+  for (int k = 0; k < count; ++k) {
+    set_position(first + k, k);
+    order_.push_back(first + k);
+  }
+  peak_live_ = std::max(peak_live_, num_live());
+}
+
 void DynamicStatevector::add_wire_state(int wire, cplx a0, cplx a1) {
   const real nrm = std::sqrt(std::norm(a0) + std::norm(a1));
   MBQ_REQUIRE(nrm > kMinAddWireNorm, "cannot add a wire in the zero state");

@@ -99,6 +99,14 @@ class DynamicStatevector {
   /// Add wire `wire` in |+> (plus=true) or |0>.
   void add_wire(int wire, bool plus = true);
 
+  /// add_wire(w) for w = first, first+1, ..., first+count−1 in order, on
+  /// an EMPTY register, as one fill pass: every amplitude of the result
+  /// is the register's scalar scaled by 1/√2 `count` times (the same
+  /// chained rounding the per-wire path performs).  Bit-identical to the
+  /// per-wire calls, norm fold included (left invalid, as add_wire
+  /// leaves it).
+  void add_plus_wires(int first, int count);
+
   /// Add wire `wire` in the state a0|0> + a1|1> (normalized internally;
   /// rejects amplitude norms below kMinAddWireNorm).
   void add_wire_state(int wire, cplx a0, cplx a1);
@@ -250,6 +258,8 @@ class DynamicStatevector {
   void reset_impl();
   template <class R>
   void add_wire_impl(bool plus);
+  template <class R>
+  void add_plus_wires_impl(int count);
   template <class R>
   void apply_1q_impl(int q, const Matrix& u);
   template <class R>

@@ -340,10 +340,11 @@ TEST(CompiledPattern, LoweringStatistics) {
   const CompiledPattern compiled(p);
   EXPECT_EQ(compiled.num_measurements(), 1);
   EXPECT_EQ(compiled.num_slots(), 3);
-  // Fusion merges the gadget block (N;E;E;M -> one op) and the terminal
-  // correction pair: 8 source commands lower to 4 tape ops.
+  // Fusion merges the two leading preps (one arena fill), the gadget
+  // block (N;E;E;M -> one op) and the terminal correction pair: 8
+  // source commands lower to 3 tape ops.
   EXPECT_LE(compiled.num_ops(), static_cast<int>(p.commands().size()));
-  EXPECT_EQ(compiled.num_ops(), 4);
+  EXPECT_EQ(compiled.num_ops(), 3);
   EXPECT_EQ(compiled.output_wires(), p.outputs());
   // Invalid patterns are rejected at compile time, not per run.
   Pattern bad;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "mbq/common/rng.h"
 #include "mbq/linalg/unitaries.h"
@@ -233,6 +234,36 @@ TEST(DynamicSv, ZeroStateThresholdConstantsArePinned) {
   EXPECT_EQ(DynamicStatevector::kMinAddWireNorm, 1e-12);
   EXPECT_EQ(DynamicStatevector::kMinBornNorm2, 1e-14);
   EXPECT_EQ(DynamicStatevector::kMinProjectionNorm2, 1e-18);
+}
+
+// The one-pass |+> fill of an empty register equals the per-wire
+// add_wire chain bit for bit (the chained 1/√2 rounding, +0 imaginary
+// parts), in both precisions, below and above the chunk cutoff, and
+// leaves the same layout, high-water mark and stale fold.
+TEST(DynamicSv, AddPlusWiresMatchesAddWireChain) {
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    for (int count : {0, 1, 5, 15}) {
+      DynamicStatevector chain(prec), fill(prec);
+      for (int k = 0; k < count; ++k) chain.add_wire(3 + k);
+      fill.add_plus_wires(3, count);
+      EXPECT_EQ(chain.wire_order(), fill.wire_order());
+      EXPECT_EQ(chain.peak_live(), fill.peak_live());
+      EXPECT_EQ(chain.norm_fold_valid(), fill.norm_fold_valid());
+      const auto want = chain.state_in_order(chain.wire_order());
+      const auto got = fill.state_in_order(fill.wire_order());
+      ASSERT_EQ(want.size(), got.size());
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            want.size() * sizeof(cplx)),
+                0)
+          << precision_name(prec) << " count=" << count;
+    }
+  }
+  DynamicStatevector dsv;
+  dsv.add_wire(0);
+  EXPECT_THROW(dsv.add_plus_wires(1, 2), Error);  // register not empty
+  dsv.reset();
+  EXPECT_THROW(dsv.add_plus_wires(-1, 2), Error);
+  EXPECT_THROW(dsv.add_plus_wires(0, 29), Error);
 }
 
 TEST(DynamicSv, AddWireStateNormBoundary) {

@@ -572,6 +572,109 @@ TEST(SimdKernels, LargeRegisterBitIdenticalAcrossThreadsAndIsas) {
   }
 }
 
+// A J-step teleport (the fresh wire's CZ partner is the measured wire,
+// as in the mixer chains) and a measure_remove at EVERY bit position q,
+// below the chunk cutoff (12 wires) and above it (16 wires), in both
+// precisions, for every host flavor at thread counts {1, 2, 8}: outcome,
+// amplitudes and running fold bit-identical to the scalar
+// single-threaded leg.  The low positions pair amplitudes inside one
+// vector register, which the wide-stride randomized sizes rarely reach
+// on a chunked register.
+ScriptResult run_position_script(const DynamicStatevector& start,
+                                 int threads, int q) {
+  thr::set_kernel_threads(threads);
+  DynamicStatevector dsv = start;
+  const int n = dsv.num_live();
+  Rng rng(1000 + static_cast<std::uint64_t>(q));
+  ScriptResult r;
+  r.outcomes.push_back(dsv.prep_cz_teleport_measure(
+      n, std::uint64_t{1} << q, q, measurement_basis(MeasBasis::XY, 0.8),
+      rng));
+  dsv.apply_h(n);  // stale fold: the measure below re-folds fused
+  r.outcomes.push_back(dsv.measure_remove(
+      dsv.wire_order()[static_cast<std::size_t>(q)],
+      measurement_basis(MeasBasis::YZ, -0.6), rng));
+  r.amps = dsv.state_in_order(dsv.wire_order());
+  r.fold = dsv.norm_fold();
+  r.fold_valid = dsv.norm_fold_valid();
+  return r;
+}
+
+TEST(SimdKernels, EveryBitPositionTeleportAndMeasureMatchScalar) {
+  IsaGuard isa_guard;
+  ThreadGuard thread_guard;
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    for (int n : {12, 16}) {
+      // Wires 0..n-1 at positions 0..n-1, phased so no two amplitudes
+      // (and no pair of halves) coincide.
+      force_simd_isa(SimdIsa::Scalar);
+      thr::set_kernel_threads(1);
+      DynamicStatevector start(prec);
+      start.add_plus_wires(0, n);
+      for (int w = 0; w < n; ++w) start.apply_rz(w, 0.3 + 0.11 * w);
+      const std::uint64_t cz_masks[2] = {0b1011,
+                                         std::uint64_t{0b11} << (n - 2)};
+      start.apply_cz_masks(cz_masks, 2);
+      // One dispatch per flavor: force_simd_isa reruns the self-check
+      // battery, which costs more than the scripts themselves.
+      std::vector<ScriptResult> want;
+      for (int q = 0; q < n; ++q)
+        want.push_back(run_position_script(start, 1, q));
+      for (SimdIsa isa : supported_simd_isas()) {
+        force_simd_isa(isa);
+        for (int t : {1, 2, 8}) {
+          for (int q = 0; q < n; ++q) {
+            SCOPED_TRACE(std::string("isa=") + isa_name(isa) +
+                         " threads=" + std::to_string(t) + " prec=" +
+                         precision_name(prec) + " n=" + std::to_string(n) +
+                         " q=" + std::to_string(q));
+            const ScriptResult got = run_position_script(start, t, q);
+            const ScriptResult& w = want[static_cast<std::size_t>(q)];
+            EXPECT_EQ(w.outcomes, got.outcomes);
+            EXPECT_TRUE(buffers_bit_equal(w.amps, got.amps));
+            EXPECT_PRED2(same_fold, w.fold, got.fold);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Golden pin on the sampled outcome stream of a 3-regular n = 16, p = 1
+// MaxCut pattern: FNV-1a over each shot's readout and raw measurement
+// outcomes.  The differential tests above compare vector flavors with
+// scalar, so a change that moved scalar and vector TOGETHER (a kernel
+// rewrite, a new fused op, a lowering change) would pass them; this
+// constant would not.  It is the digest the scalar reference produced
+// before the in-register pair split and the prep-run fill existed.
+// Changing it is changing the outcome-stream contract.
+TEST(SimdKernels, GoldenOutcomeDigestIsPinned) {
+  constexpr std::uint64_t kGoldenDigest = 0x66adf579a0fbfca9ULL;
+  IsaGuard guard;
+  Rng graph_rng(16);
+  const auto cost =
+      qaoa::CostHamiltonian::maxcut(random_regular_graph(16, 3, graph_rng));
+  const auto compiled = std::make_shared<const mbqc::CompiledPattern>(
+      core::compile_qaoa(cost, qaoa::Angles({0.4}, {0.7})).pattern);
+  for (SimdIsa isa : supported_simd_isas()) {
+    force_simd_isa(isa);
+    mbqc::PatternExecutor exec(compiled);
+    Rng rng(2024);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xFF;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (int shot = 0; shot < 16; ++shot) {
+      mix(exec.run_sample(rng).x);
+      for (int o : exec.last_outcomes()) mix(static_cast<std::uint64_t>(o));
+    }
+    EXPECT_EQ(h, kGoldenDigest) << isa_name(isa);
+  }
+}
+
 TEST(SimdKernels, ForcingAnUnavailableFlavorIsRejectedAtDispatch) {
   IsaGuard guard;
   for (SimdIsa isa :
