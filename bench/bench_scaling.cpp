@@ -371,6 +371,106 @@ BENCHMARK_CAPTURE(BM_TeleportByPosition, neon, SimdIsa::Neon)
     ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(19)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
+// One sampled measurement of each fused kind on a 20-wire register
+// (TeleportLoop's state), by kernel flavor: a J-step teleport
+// (prep_cz_teleport_measure, alternating the two positions the mixer
+// chains measure — the wire at bit 0 and the top wire), an edge gadget
+// (prep_cz_measure with two CZ partners), and a measure_remove at
+// q = 10 with a valid running fold (the wire is put back with
+// add_wire_plus_cz outside the timed region).  Each is a read-only fold
+// pass plus one normalized write pass over the register.  Runs at the
+// resolved kernel thread count.  Each row first replays a few ops
+// against the scalar single-threaded leg and SkipWithError's on any
+// divergence in outcomes or amplitudes.  Registered as
+// BM_MeasureOp/<op>/<flavor>.
+enum class MeasureOp { Teleport, Gadget, Measure };
+
+struct MeasureLoop {
+  static constexpr int kQ = 10;
+  TeleportLoop loop;
+  int teleports = 0;
+
+  int step(MeasureOp op) {
+    DynamicStatevector& dsv = loop.dsv;
+    switch (op) {
+      case MeasureOp::Teleport:
+        return loop.step(teleports++ % 2 == 0 ? 0 : TeleportLoop::kWires - 1);
+      case MeasureOp::Gadget:
+        return dsv.prep_cz_measure(loop.spare,
+                                   (std::uint64_t{1} << kQ) | (1u << 15),
+                                   loop.basis, loop.rng);
+      case MeasureOp::Measure:
+        break;
+    }
+    return dsv.measure_remove(dsv.wire_order()[kQ], loop.basis, loop.rng);
+  }
+  /// After a Measure step: re-add a wire so the register is 20 wires
+  /// again with a valid fold.
+  void restore() { loop.dsv.add_wire_plus_cz(loop.spare++, 1u << 3); }
+};
+
+void BM_MeasureOp(benchmark::State& state, MeasureOp op, SimdIsa isa) {
+  if (kernels_for_isa(isa) == nullptr) {
+    state.SkipWithError("flavor not available on this host");
+    return;
+  }
+  const SimdIsa orig = active_simd_isa();
+  const int threads = thr::kernel_threads();
+
+  auto replay = [&](SimdIsa leg, int t) {
+    force_simd_isa(leg);
+    thr::set_kernel_threads(t);
+    MeasureLoop m;
+    std::vector<int> outs;
+    for (int i = 0; i < 3; ++i) {
+      outs.push_back(m.step(op));
+      if (op == MeasureOp::Measure) m.restore();
+    }
+    return std::pair{outs, m.loop.dsv.state_in_order(m.loop.dsv.wire_order())};
+  };
+  const auto want = replay(SimdIsa::Scalar, 1);
+  const auto got = replay(isa, threads);
+  if (want.first != got.first ||
+      std::memcmp(want.second.data(), got.second.data(),
+                  want.second.size() * sizeof(cplx)) != 0) {
+    force_simd_isa(orig);
+    thr::set_kernel_threads(threads);
+    state.SkipWithError("measurements diverged from the scalar 1-thread leg");
+    return;
+  }
+
+  force_simd_isa(isa);
+  thr::set_kernel_threads(threads);
+  MeasureLoop m;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.step(op));
+    if (op == MeasureOp::Measure) {
+      state.PauseTiming();
+      m.restore();
+      state.ResumeTiming();
+    }
+  }
+  state.counters["kernel_threads"] = threads;
+  state.SetLabel(isa_name(isa));
+  force_simd_isa(orig);
+}
+
+const bool kMeasureOpsRegistered = [] {
+  for (const auto& [op, op_name] :
+       {std::pair{MeasureOp::Teleport, "teleport"},
+        std::pair{MeasureOp::Gadget, "gadget"},
+        std::pair{MeasureOp::Measure, "measure"}})
+    for (const SimdIsa isa :
+         {SimdIsa::Scalar, SimdIsa::Avx2, SimdIsa::Avx512, SimdIsa::Neon})
+      benchmark::RegisterBenchmark(
+          (std::string("BM_MeasureOp/") + op_name + "/" + isa_name(isa))
+              .c_str(),
+          BM_MeasureOp, op, isa)
+          ->UseRealTime()
+          ->Unit(benchmark::kMillisecond);
+  return true;
+}();
+
 void BM_PatternRunClifford(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Graph g = cycle_graph(n);

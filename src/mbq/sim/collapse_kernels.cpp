@@ -15,6 +15,8 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <span>
+#include <type_traits>
 
 #include "mbq/common/error.h"
 #include "mbq/sim/collapse_threaded.h"
@@ -91,51 +93,101 @@ bool run_battery(const CollapseKernelsT<R>& k) {
     if (!same(fa, fb) || !same(x, y)) return false;
   }
 
+  // The projection shapes: the fold pass (both outcomes) and the write
+  // pass, with the effect kinds paired every way.  Outcome 1's effects
+  // come in the arrangements the vector fold passes distinguish:
+  // (e0, −e1) — Mirror —, (−e1, e0), which is neither, and for the
+  // gadget (e1, e0) — Swap.  The write pass's inv is a plain constant;
+  // the kernels never look at its value.
   const std::size_t dim = 256;
+  const R inv = R(1.7);
+  struct Slice {
+    std::uint64_t begin, end;
+    bool carry;
+  };
+  const Slice slices[] = {{0, 128, true}, {0, 32, false}, {64, 128, false}};
   for (const C& e0 : effs) {
     for (const C& e1 : effs) {
+      const C arrangements[3][4] = {
+          {e0, e1, e0, -e1}, {e0, e1, -e1, e0}, {e0, e1, e1, e0}};
+      const auto pair_arrangements = std::span(arrangements).first(2);
       for (int q : {0, 1, 2, 3, 5}) {
         fill(x, dim, 0xABCD ^ static_cast<std::uint64_t>(q));
+        for (const auto& e : pair_arrangements) {
+          R fa[2], fb[2];
+          ref.pairs_fold(x.data(), dim / 2, q, e, fa);
+          k.pairs_fold(x.data(), dim / 2, q, e, fb);
+          if (!same(fa[0], fb[0]) || !same(fa[1], fb[1])) return false;
+        }
         ox.assign(dim / 2, C{});
         oy.assign(dim / 2, C{});
-        const R fa =
-            ref.collapse_pairs(x.data(), ox.data(), dim / 2, q, e0, e1);
-        const R fb = k.collapse_pairs(x.data(), oy.data(), dim / 2, q, e0, e1);
-        if (!same(fa, fb) || !same(ox, oy)) return false;
+        if (!same(ref.pairs_write(x.data(), ox.data(), dim / 2, q, e0, e1, inv),
+                  k.pairs_write(x.data(), oy.data(), dim / 2, q, e0, e1, inv)) ||
+            !same(ox, oy))
+          return false;
       }
       for (std::uint64_t pmask : {0x0ULL, 0x1ULL, 0xAULL, 0x2BULL, 0xF0ULL}) {
         fill(x, dim, 0x5EED ^ pmask);
+        R fa[4], fb[4];
+        for (const auto& e : arrangements) {
+          ref.prep_fold(x.data(), 0, dim, pmask, e, kInvSqrt2, fa);
+          k.prep_fold(x.data(), 0, dim, pmask, e, kInvSqrt2, fb);
+          for (int j = 0; j < 3; ++j)
+            if (!same(fa[j], fb[j])) return false;
+        }
         ox.assign(dim, C{});
         oy.assign(dim, C{});
-        const R fa = ref.prep_collapse(x.data(), ox.data(), dim, pmask, e0, e1,
-                                       kInvSqrt2);
-        const R fb =
-            k.prep_collapse(x.data(), oy.data(), dim, pmask, e0, e1, kInvSqrt2);
-        if (!same(fa, fb) || !same(ox, oy)) return false;
-        for (int q : {0, 1, 2, 4}) {
-          ox.assign(dim, C{});
-          oy.assign(dim, C{});
-          ref.teleport_collapse(x.data(), ox.data(), dim, q, pmask, e0, e1,
-                                kInvSqrt2);
-          k.teleport_collapse(x.data(), oy.data(), dim, q, pmask, e0, e1,
-                              kInvSqrt2);
-          if (!same(ox, oy)) return false;
-          // Ranged teleport: slices must agree with scalar's slices
-          // bit-for-bit, including the per-slice fold pairs.
-          for (const auto& rr :
-               {std::pair<std::uint64_t, std::uint64_t>{0, 32},
-                std::pair<std::uint64_t, std::uint64_t>{32, 128},
-                std::pair<std::uint64_t, std::uint64_t>{0, 128}}) {
+        if (!same(ref.prep_write(x.data(), ox.data(), 0, dim, pmask, e0, e1,
+                                 kInvSqrt2, inv),
+                  k.prep_write(x.data(), oy.data(), 0, dim, pmask, e0, e1,
+                               kInvSqrt2, inv)) ||
+            !same(ox, oy))
+          return false;
+        // An index slice reads its signs off the global index.
+        for (const auto& e : arrangements) {
+          ref.prep_fold(x.data(), 64, 192, pmask, e, kInvSqrt2, fa);
+          k.prep_fold(x.data(), 64, 192, pmask, e, kInvSqrt2, fb);
+          for (int j = 0; j < 3; ++j)
+            if (!same(fa[j], fb[j])) return false;
+        }
+        if (!same(ref.prep_write(x.data(), ox.data(), 64, 192, pmask, e0, e1,
+                                 kInvSqrt2, inv),
+                  k.prep_write(x.data(), oy.data(), 64, 192, pmask, e0, e1,
+                               kInvSqrt2, inv)) ||
+            !same(ox, oy))
+          return false;
+        // Teleports over the whole range (the fold pass with carried
+        // lanes) and over rank slices with fresh lanes per half: outputs
+        // and every fold must agree with scalar's bit-for-bit.  (A CZ
+        // partner below the measured wire sends every flavor to scalar,
+        // so those masks are skipped.)
+        for (int q : {0, 1, 2, 6}) {
+          if ((pmask & ((std::uint64_t{1} << q) - 1)) != 0) continue;
+          for (const Slice& sl : slices) {
+            for (const auto& e : pair_arrangements) {
+              R sa[2] = {R(0), R(0)}, sb[2] = {R(0), R(0)};
+              R* src_a = sl.carry ? nullptr : sa;
+              R* src_b = sl.carry ? nullptr : sb;
+              ref.teleport_fold(x.data(), dim, q, pmask, e, kInvSqrt2,
+                                sl.begin, sl.end, sl.carry, fa, src_a);
+              k.teleport_fold(x.data(), dim, q, pmask, e, kInvSqrt2, sl.begin,
+                              sl.end, sl.carry, fb, src_b);
+              for (int j = 0; j < 4; ++j)
+                if (!same(fa[j], fb[j])) return false;
+              if (!same(sa[0], sb[0]) || !same(sa[1], sb[1])) return false;
+            }
             ox.assign(dim, C{});
             oy.assign(dim, C{});
-            R fla = R(0), fha = R(0), flb = R(0), fhb = R(0);
-            ref.teleport_collapse_range(x.data(), ox.data(), dim, q, pmask, e0,
-                                        e1, kInvSqrt2, rr.first, rr.second,
-                                        &fla, &fha);
-            k.teleport_collapse_range(x.data(), oy.data(), dim, q, pmask, e0,
-                                      e1, kInvSqrt2, rr.first, rr.second, &flb,
-                                      &fhb);
-            if (!same(fla, flb) || !same(fha, fhb) || !same(ox, oy))
+            // The whole range writes without folding, as the unchunked
+            // driver does.
+            ref.teleport_write(x.data(), ox.data(), dim, q, pmask, e0, e1,
+                               kInvSqrt2, inv, sl.begin, sl.end,
+                               sl.carry ? nullptr : fa);
+            k.teleport_write(x.data(), oy.data(), dim, q, pmask, e0, e1,
+                             kInvSqrt2, inv, sl.begin, sl.end,
+                             sl.carry ? nullptr : fb);
+            if (!same(ox, oy) ||
+                (!sl.carry && (!same(fa[0], fb[0]) || !same(fa[1], fb[1]))))
               return false;
           }
         }
@@ -210,8 +262,7 @@ bool run_battery(const CollapseKernelsT<R>& k) {
 /// driver(k, t) must equal driver(scalar, 1) bit-for-bit for every
 /// t — this is where a divergent flavor×thread combination is
 /// rejected.  Representative shapes: both stride regimes, mixed
-/// high/low masks, the fused *_with_total pairs against their unfused
-/// definitions.
+/// high/low masks, the measurement fold and write drivers.
 template <class R>
 bool run_driver_battery(const CollapseKernelsT<R>& k) {
   using C = std::complex<R>;
@@ -233,21 +284,26 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
       return false;
   }
 
-  for (int q : {0, 1, 2, 13, 14}) {  // in-register, stride < C, == C, > C
+  // Measurement drivers: the fold pass with its Born total and the
+  // write pass, at an in-register stride, stride < C, == C and > C.
+  const C e[4] = {e1, e0, e0, e1};
+  const R inv = R(1.3);
+  auto same_born = [](const thr::BornFolds<R>& a, const thr::BornFolds<R>& b) {
+    return same(a.total, b.total) && same(a.proj[0], b.proj[0]) &&
+           same(a.proj[1], b.proj[1]);
+  };
+  for (int q : {0, 2, 13, 14}) {
     fill(x, 2 * dim, 0xFACE ^ static_cast<std::uint64_t>(q));
+    const auto fa = thr::pairs_fold(ref, x.data(), dim, q, e, true, 1);
     ox.assign(dim, C{});
-    const auto fa =
-        thr::collapse_pairs_with_total(ref, x.data(), ox.data(), dim, q, e0,
-                                       e1, 1);
-    const R ua = thr::fold_norms(ref, x.data(), 2 * dim, 1);
-    const R pa = thr::collapse_pairs(ref, x.data(), ox.data(), dim, q, e0, e1,
-                                     1);
-    if (!same(fa.total, ua) || !same(fa.proj, pa)) return false;  // fusion
+    const R wa = thr::pairs_write(ref, x.data(), ox.data(), dim, q, e0, e1,
+                                  inv, 1);
     for (int t : threads) {
+      if (!same_born(fa, thr::pairs_fold(k, x.data(), dim, q, e, true, t)))
+        return false;
       oy.assign(dim, C{});
-      const auto fb = thr::collapse_pairs_with_total(k, x.data(), oy.data(),
-                                                     dim, q, e0, e1, t);
-      if (!same(fa.total, fb.total) || !same(fa.proj, fb.proj) ||
+      if (!same(wa, thr::pairs_write(k, x.data(), oy.data(), dim, q, e0, e1,
+                                     inv, t)) ||
           !same(ox, oy))
         return false;
     }
@@ -255,33 +311,36 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
 
   const std::uint64_t pmask = 0x2BULL | (0x5ULL << 12);  // low and high bits
   fill(x, dim, 0xBEEF);
+  const auto pa = thr::prep_fold(ref, x.data(), dim, pmask, e, s, true, 1);
   ox.assign(dim, C{});
-  const auto pa = thr::prep_collapse_with_total(ref, x.data(), ox.data(), dim,
-                                                pmask, e0, e1, s, 1);
-  const R ta = thr::prep_total_fold(ref, x.data(), dim, s, 1);
   const R ja =
-      thr::prep_collapse(ref, x.data(), ox.data(), dim, pmask, e0, e1, s, 1);
-  if (!same(pa.total, ta) || !same(pa.proj, ja)) return false;  // fusion
+      thr::prep_write(ref, x.data(), ox.data(), dim, pmask, e0, e1, s, inv, 1);
   for (int t : threads) {
+    if (!same_born(pa, thr::prep_fold(k, x.data(), dim, pmask, e, s, true, t)))
+      return false;
     oy.assign(dim, C{});
-    const auto pb = thr::prep_collapse_with_total(k, x.data(), oy.data(), dim,
-                                                  pmask, e0, e1, s, t);
-    if (!same(pa.total, pb.total) || !same(pa.proj, pb.proj) || !same(ox, oy))
+    if (!same(ja, thr::prep_write(k, x.data(), oy.data(), dim, pmask, e0, e1,
+                                  s, inv, t)) ||
+        !same(ox, oy))
       return false;
   }
 
-  for (int q : {0, 1, 2, 13}) {  // in-register pairs and wide strides
+  for (int q : {0, 2, 13}) {  // in-register pairs and wide strides
+    const std::uint64_t tp = pmask & ~((1ULL << (q + 1)) - 1);
     fill(x, dim, 0x7E1E ^ static_cast<std::uint64_t>(q));
+    const auto fa = thr::teleport_fold(ref, x.data(), dim, q, tp, e, s, true, 1);
     ox.assign(dim, C{});
-    const R fa = thr::teleport_collapse_fold(ref, x.data(), ox.data(), dim, q,
-                                             pmask & ~((1ULL << (q + 1)) - 1),
-                                             e0, e1, s, 1);
+    const R wa = thr::teleport_write(ref, x.data(), ox.data(), dim, q, tp, e0,
+                                     e1, s, inv, 1);
     for (int t : threads) {
+      if (!same_born(fa,
+                     thr::teleport_fold(k, x.data(), dim, q, tp, e, s, true, t)))
+        return false;
       oy.assign(dim, C{});
-      const R fb = thr::teleport_collapse_fold(k, x.data(), oy.data(), dim, q,
-                                               pmask & ~((1ULL << (q + 1)) - 1),
-                                               e0, e1, s, t);
-      if (!same(fa, fb) || !same(ox, oy)) return false;
+      if (!same(wa, thr::teleport_write(k, x.data(), oy.data(), dim, q, tp, e0,
+                                        e1, s, inv, t)) ||
+          !same(ox, oy))
+        return false;
     }
   }
 
@@ -346,6 +405,28 @@ bool run_driver_battery(const CollapseKernelsT<R>& k) {
 std::atomic<const CollapseKernels*> g_active{nullptr};
 std::atomic<const CollapseKernelsF32*> g_active_f32{nullptr};
 
+/// The battery's verdict on a built-in table: it runs in full the first
+/// time each flavor is dispatched per element type, and later dispatches
+/// (every force_simd_isa) reuse the verdict.  Unknown = 0, pass = 1,
+/// fail = 2; concurrent first calls may both run the battery and store
+/// the same verdict.
+template <class R>
+bool verified(const CollapseKernelsT<R>& k) {
+  static std::atomic<int> verdicts[4] = {};
+  std::atomic<int>& v = verdicts[static_cast<int>(k.isa)];
+  int got = v.load(std::memory_order_acquire);
+  if (got == 0) {
+    bool ok;
+    if constexpr (std::is_same_v<R, double>)
+      ok = verify_kernels(k);
+    else
+      ok = verify_kernels_f32(k);
+    got = ok ? 1 : 2;
+    v.store(got, std::memory_order_release);
+  }
+  return got == 1;
+}
+
 /// Strict resolution for a NAMED flavor: must exist here and must pass
 /// the battery, else throw — "rejected at dispatch time".
 const CollapseKernels* resolve_forced(SimdIsa isa) {
@@ -354,7 +435,7 @@ const CollapseKernels* resolve_forced(SimdIsa isa) {
               "SIMD flavor '" << isa_name(isa)
                               << "' is not available (not compiled into this "
                                  "build or not supported by this CPU)");
-  MBQ_REQUIRE(isa == SimdIsa::Scalar || verify_kernels(*k),
+  MBQ_REQUIRE(isa == SimdIsa::Scalar || verified(*k),
               "SIMD flavor '" << isa_name(isa)
                               << "' failed the bit-identity self-check "
                                  "against the scalar reference; rejected at "
@@ -369,7 +450,7 @@ const CollapseKernelsF32* resolve_forced_f32(SimdIsa isa) {
                               << "' is not available for f32 (not compiled "
                                  "into this build or not supported by this "
                                  "CPU)");
-  MBQ_REQUIRE(isa == SimdIsa::Scalar || verify_kernels_f32(*k),
+  MBQ_REQUIRE(isa == SimdIsa::Scalar || verified(*k),
               "SIMD flavor '" << isa_name(isa)
                               << "' failed the f32 bit-identity self-check "
                                  "against the scalar reference; rejected at "
@@ -381,7 +462,7 @@ const CollapseKernels* resolve() {
   if (const auto forced = simd_env_override()) return resolve_forced(*forced);
   for (const SimdIsa isa : {SimdIsa::Avx512, SimdIsa::Avx2, SimdIsa::Neon}) {
     const CollapseKernels* k = kernels_for_isa(isa);
-    if (k != nullptr && verify_kernels(*k)) return k;
+    if (k != nullptr && verified(*k)) return k;
   }
   return &scalar_kernels();
 }
@@ -391,7 +472,7 @@ const CollapseKernelsF32* resolve_f32() {
     return resolve_forced_f32(*forced);
   for (const SimdIsa isa : {SimdIsa::Avx512, SimdIsa::Avx2, SimdIsa::Neon}) {
     const CollapseKernelsF32* k = kernels_for_isa_f32(isa);
-    if (k != nullptr && verify_kernels_f32(*k)) return k;
+    if (k != nullptr && verified(*k)) return k;
   }
   return &scalar_kernels_f32();
 }

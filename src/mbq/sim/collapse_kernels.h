@@ -41,11 +41,13 @@
 // THREADING (see collapse_threaded.h) layers on top without touching
 // this contract: above a size cutoff a sweep is DEFINED as fixed-size
 // chunks, each folded with its own canonical accumulator set, combined
-// by left-to-right addition in ascending chunk order.  The three
-// *_range entries below exist so the chunk drivers can run any kernel
-// on an arbitrary slice of its index space.
+// by left-to-right addition in ascending chunk order.  The two *_range
+// entries and the teleport entries' rank slices exist so the chunk
+// drivers can run any kernel on an arbitrary slice of its index space.
 
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "mbq/common/cpu.h"
@@ -101,6 +103,30 @@ inline std::complex<R> cmul(const std::complex<R>& e,
           e.real() * u.imag() + e.imag() * u.real()};
 }
 
+/// How a measurement's outcome-1 effects (e[2], e[3]) rearrange its
+/// outcome-0 effects (e[0], e[1]), bitwise:
+///   Mirror — (e[0], −e[1]): the X and XY planes;
+///   Swap   — (e[1], e[0]):  the Z and YZ planes.
+/// The vector fold passes then derive outcome 1's projection from
+/// outcome 0's two effect products (a + b becomes a + (−b), or b + a
+/// with the products' inputs exchanged) instead of forming two more; the
+/// scalar reference always forms all four.  A derived value equals the
+/// directly computed one up to the sign of an exact zero, which squares
+/// away, so the folds are unchanged bitwise.
+enum class EffPairing : std::uint8_t { None, Mirror, Swap };
+
+template <class R>
+inline EffPairing eff_pairing(const std::complex<R>* e) noexcept {
+  using U = std::conditional_t<sizeof(R) == 8, std::uint64_t, std::uint32_t>;
+  const auto same = [](std::complex<R> a, std::complex<R> b) {
+    return std::bit_cast<U>(a.real()) == std::bit_cast<U>(b.real()) &&
+           std::bit_cast<U>(a.imag()) == std::bit_cast<U>(b.imag());
+  };
+  if (same(e[2], e[0]) && same(e[3], -e[1])) return EffPairing::Mirror;
+  if (same(e[2], e[1]) && same(e[3], e[0])) return EffPairing::Swap;
+  return EffPairing::None;
+}
+
 template <class R>
 inline std::complex<R> eff_mul(EffKind k, const std::complex<R>& e,
                                const std::complex<R>& u) noexcept {
@@ -122,8 +148,8 @@ inline std::complex<R> eff_mul(EffKind k, const std::complex<R>& e,
 /// partner below the measured wire; and strides below the vector width
 /// in phase_pass, the Pauli swaps, and (on flavors without an
 /// in-register split, see collapse_kernels_vec.h) the pair kernels.
-/// collapse_pairs and the teleports split in-register pairs on AVX2 and
-/// AVX-512, so every bit position runs vectorized there.
+/// The pairs_* and teleport_* entries split in-register pairs on AVX2
+/// and AVX-512, so every bit position runs vectorized there.
 template <class R>
 struct CollapseKernelsT {
   using C = std::complex<R>;
@@ -144,35 +170,87 @@ struct CollapseKernelsT {
   R (*prep_total_fold)(const C* x, std::uint64_t n, R s);
 
   /// x[i] *= inv for all i, returning the canonical fold of the scaled
-  /// values — the collapse-normalization pass shared by every measure.
+  /// values — normalize()'s rescale pass.
   R (*scale_fold)(C* x, std::uint64_t n, R inv);
 
-  /// measure_remove projection: for pair index k in [0, pairs),
-  /// i0 = insert_zero_bit(k, q),
-  ///   out[k] = eff_mul(e0, x[i0]) + eff_mul(e1, x[i0 | 1<<q]);
-  /// returns the canonical fold over out (ascending k).
-  R (*collapse_pairs)(const C* x, C* out, std::uint64_t pairs, int q, C e0,
-                      C e1);
+  // --- measurement projections: a fold pass and a write pass per shape ---
+  // Every measurement runs as two sweeps.  The FOLD entry reads the
+  // register once and stores nothing: it folds the projection of BOTH
+  // outcomes m = 0, 1, whose effect pair is e[2m], e[2m+1] (the
+  // conjugated basis column m).  The caller draws the outcome from those
+  // folds, then the WRITE entry recomputes the chosen projection,
+  // multiplies each value by inv = 1/√(its fold) and stores it, folding
+  // the stored values.  The value stored is fl(fl(proj)·inv), exactly
+  // what an unscaled store followed by scale_fold would leave, and every
+  // fold keeps the lanes the collapse-then-rescale sequence used.  A
+  // write entry may store over its source (out == x) wherever each
+  // output index is one of the indices its own step reads: prep_write
+  // always, pairs_write and teleport_write when the measured wire is the
+  // register's top bit (1 << q == dim / 2).
 
-  /// Fused-gadget projection (prep_cz_measure): for i in [0, dim),
+  /// measure_remove projection of pair rank k in [0, pairs),
+  /// i0 = insert_zero_bit(k, q):
+  ///   proj_m[k] = eff_mul(e[2m], x[i0]) + eff_mul(e[2m+1], x[i0 | 1<<q]).
+  /// folds[m] = canonical fold of proj_m (ascending k).
+  void (*pairs_fold)(const C* x, std::uint64_t pairs, int q, const C* e,
+                     R* folds);
+
+  /// out[k] = proj[k]·inv for the projection with effects (e0, e1);
+  /// returns the canonical fold of out.
+  R (*pairs_write)(const C* x, C* out, std::uint64_t pairs, int q, C e0,
+                   C e1, R inv);
+
+  /// Fused-gadget projection (prep_cz_measure) over the index slice
+  /// i ∈ [i_begin, i_end) of the register:
   ///   low = s·x[i];  up = parity(i & pmask) ? −low : low;
-  ///   out[i] = eff_mul(e0, low) + eff_mul(e1, up);
+  ///   proj_m[i] = eff_mul(e[2m], low) + eff_mul(e[2m+1], up)
   /// (sign applied BEFORE the effect product, as the sequential chain
-  /// stores ±values then multiplies — keeps zero-signs identical too);
-  /// returns the canonical fold over out.
-  R (*prep_collapse)(const C* x, C* out, std::uint64_t dim,
-                     std::uint64_t pmask, C e0, C e1, R s);
+  /// stores ±values then multiplies — keeps zero-signs identical too).
+  /// folds[0] = canonical fold of low (= fold_norms_scaled, the gadget's
+  /// Born-total partial), folds[1 + m] = canonical fold of proj_m, each
+  /// with lanes starting at i_begin.
+  void (*prep_fold)(const C* x, std::uint64_t i_begin, std::uint64_t i_end,
+                    std::uint64_t pmask, const C* e, R s, R* folds);
 
-  /// Fused-teleport projection (prep_cz_teleport_measure), elementwise
-  /// only — the caller folds `out` separately with fold_norms.  For
-  /// each pair (i0, i0|1<<q) of the measured wire q:
-  ///   a = eff_mul(e0, s·x[i0]);  b = eff_mul(e1, s·x[i0|1<<q]);
-  ///   out[r]           = a + b                      (new wire bit = 0)
-  ///   out[dim/2 + r]   = ±a ± b                     (new wire bit = 1)
-  /// with r the pair's rank and the ± signs from parity(i & pmask)
-  /// applied AFTER the products, exactly as the scalar code always has.
-  void (*teleport_collapse)(const C* x, C* out, std::uint64_t dim, int q,
-                            std::uint64_t pmask, C e0, C e1, R s);
+  /// out[i] = proj[i]·inv over the slice for effects (e0, e1); returns
+  /// the fold of the slice of out.
+  R (*prep_write)(const C* x, C* out, std::uint64_t i_begin,
+                  std::uint64_t i_end, std::uint64_t pmask, C e0, C e1, R s,
+                  R inv);
+
+  /// Fused-teleport projection (prep_cz_teleport_measure) over pair
+  /// ranks r ∈ [r_begin, r_end) of the measured wire q, with
+  /// i0 = insert_zero_bit(r, q):
+  ///   a = eff_mul(e[2m], s·x[i0]);  b = eff_mul(e[2m+1], s·x[i0|1<<q]);
+  ///   lower: proj_m[r]         = a + b          (new wire bit = 0)
+  ///   upper: proj_m[dim/2 + r] = ±a ± b         (new wire bit = 1)
+  /// with the ± signs from parity(i & pmask) applied AFTER the products,
+  /// exactly as the scalar code always has.  Without `carry`, each half
+  /// of the slice folds with its own fresh lanes: folds[2m] = lower,
+  /// folds[2m + 1] = upper (the chunk drivers' contract).  With `carry`
+  /// (the whole rank range of an unchunked register) the upper half
+  /// continues the lower half's lanes — one fold over proj_m[0, dim) in
+  /// index order — stored to folds[2m], with folds[2m + 1] = 0.
+  /// src_folds, when given (not with carry; the slice length len a power
+  /// of two and r_begin a multiple of it): the canonical folds of s·x
+  /// over the two blocks of len amplitudes the slice reads, each with
+  /// fresh lanes — at i0(r_begin) and i0(r_begin) + 2^q when 2^q ≥ len,
+  /// else at 2·r_begin and 2·r_begin + len.  These are the Born total's
+  /// chunk partials (prep_total_fold) of those blocks.
+  void (*teleport_fold)(const C* x, std::uint64_t dim, int q,
+                        std::uint64_t pmask, const C* e, R s,
+                        std::uint64_t r_begin, std::uint64_t r_end,
+                        bool carry, R* folds, R* src_folds);
+
+  /// Stores proj·inv for effects (e0, e1) at out[r] and out[dim/2 + r]
+  /// over the rank slice, folding the stored values of each half with
+  /// fresh lanes: folds[0] = lower, folds[1] = upper — or folding
+  /// nothing when folds is null (an unchunked register's carried fold is
+  /// fold_norms over out afterwards).
+  void (*teleport_write)(const C* x, C* out, std::uint64_t dim, int q,
+                         std::uint64_t pmask, C e0, C e1, R s, R inv,
+                         std::uint64_t r_begin, std::uint64_t r_end,
+                         R* folds);
 
   /// add_wire_plus_cz in place: scale x[0..old_dim) by s, mirror into
   /// x[old_dim..2·old_dim) with sign (−1)^parity(i & pmask); returns
@@ -212,18 +290,6 @@ struct CollapseKernelsT {
   /// apply_rz kernel — diagonal and norm-preserving, so the caller may
   /// keep its fold valid.
   void (*phase_pass)(C* x, std::uint64_t n, int q, C e);
-
-  /// Ranged teleport projection for the chunk drivers: pair ranks
-  /// r ∈ [r_begin, r_end) of the teleport_collapse definition above,
-  /// writing out[r] and out[dim/2 + r] and folding each half of the
-  /// slice with its OWN fresh canonical accumulator set (lanes restart
-  /// at the slice start), stored to *fold_lo / *fold_hi.  Equal to the
-  /// full pass restricted to the slice, with folds equal to chunked
-  /// fold_norms over out.
-  void (*teleport_collapse_range)(const C* x, C* out, std::uint64_t dim,
-                                  int q, std::uint64_t pmask, C e0, C e1, R s,
-                                  std::uint64_t r_begin, std::uint64_t r_end,
-                                  R* fold_lo, R* fold_hi);
 
   /// Ranged mirror half of add_plus_cz: for i ∈ [i_begin, i_end) with
   /// the LOWER half already scaled, x[old_dim + i] =

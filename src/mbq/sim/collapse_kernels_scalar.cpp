@@ -70,105 +70,190 @@ R s_scale_fold(std::complex<R>* x, std::uint64_t n, R inv) {
   return acc.combine();
 }
 
-template <class R>
-R s_collapse_pairs(const std::complex<R>* x, std::complex<R>* out,
-                   std::uint64_t pairs, int q, std::complex<R> e0,
-                   std::complex<R> e1) {
+// The three projection shapes share one sweep body each; the kWrite
+// mode parameter selects the fold pass (both outcomes, nothing stored,
+// acc[m] folds outcome m) or the write pass (the outcome whose effects
+// are e[0], e[1], scaled by inv and stored, acc[0] folds what is stored).
+
+/// Fold-pass outcomes (2) or write-pass outcomes (1).
+template <bool kWrite>
+inline constexpr int kOutcomes = kWrite ? 1 : 2;
+
+template <bool kWrite, class R>
+void s_pairs_sweep(const std::complex<R>* x, std::complex<R>* out,
+                   std::uint64_t pairs, int q, const std::complex<R>* e, R inv,
+                   FoldAcc<R>* acc) {
+  constexpr int kM = kOutcomes<kWrite>;
   const std::uint64_t stride = std::uint64_t{1} << q;
-  const EffKind k0 = eff_kind(e0);
-  const EffKind k1 = eff_kind(e1);
-  FoldAcc<R> acc;
+  EffKind kinds[2 * kM];
+  for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
   for (std::uint64_t k = 0; k < pairs; ++k) {
     const std::uint64_t i0 = insert_zero_bit(k, q);
-    out[k] = eff_mul(k0, e0, x[i0]) + eff_mul(k1, e1, x[i0 | stride]);
-    acc.add(out[k]);
+    for (int m = 0; m < kM; ++m) {
+      std::complex<R> v = eff_mul(kinds[2 * m], e[2 * m], x[i0]) +
+                          eff_mul(kinds[2 * m + 1], e[2 * m + 1], x[i0 | stride]);
+      if constexpr (kWrite) {
+        v *= inv;
+        out[k] = v;
+      }
+      acc[m].add(v);
+    }
   }
-  return acc.combine();
 }
 
 template <class R>
-R s_prep_collapse(const std::complex<R>* x, std::complex<R>* out,
-                  std::uint64_t dim, std::uint64_t pmask, std::complex<R> e0,
-                  std::complex<R> e1, R s) {
-  const EffKind k0 = eff_kind(e0);
-  const EffKind k1 = eff_kind(e1);
+void s_pairs_fold(const std::complex<R>* x, std::uint64_t pairs, int q,
+                  const std::complex<R>* e, R* folds) {
+  FoldAcc<R> acc[2];
+  s_pairs_sweep<false, R>(x, nullptr, pairs, q, e, R(1), acc);
+  for (int m = 0; m < 2; ++m) folds[m] = acc[m].combine();
+}
+
+template <class R>
+R s_pairs_write(const std::complex<R>* x, std::complex<R>* out,
+                std::uint64_t pairs, int q, std::complex<R> e0,
+                std::complex<R> e1, R inv) {
+  const std::complex<R> e[2] = {e0, e1};
   FoldAcc<R> acc;
-  for (std::uint64_t i = 0; i < dim; ++i) {
+  s_pairs_sweep<true>(x, out, pairs, q, e, inv, &acc);
+  return acc.combine();
+}
+
+/// Gadget sweep over [i_begin, i_end); the fold pass also folds low = s·x
+/// into acc[0] and outcome m into acc[1 + m].
+template <bool kWrite, class R>
+void s_prep_sweep(const std::complex<R>* x, std::complex<R>* out,
+                  std::uint64_t i_begin, std::uint64_t i_end,
+                  std::uint64_t pmask, const std::complex<R>* e, R s, R inv,
+                  FoldAcc<R>* acc) {
+  constexpr int kM = kOutcomes<kWrite>;
+  EffKind kinds[2 * kM];
+  for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
+  for (std::uint64_t i = i_begin; i < i_end; ++i) {
     const std::complex<R> low = x[i] * s;
     const std::complex<R> up = parity64(i & pmask) ? -low : low;
-    out[i] = eff_mul(k0, e0, low) + eff_mul(k1, e1, up);
-    acc.add(out[i]);
-  }
-  return acc.combine();
-}
-
-template <class R>
-void s_teleport_collapse(const std::complex<R>* x, std::complex<R>* out,
-                         std::uint64_t dim, int q, std::uint64_t pmask,
-                         std::complex<R> e0, std::complex<R> e1, R s) {
-  const std::uint64_t stride = std::uint64_t{1} << q;
-  const std::uint64_t rest_count = dim / 2;
-  const EffKind k0 = eff_kind(e0);
-  const EffKind k1 = eff_kind(e1);
-  const std::uint64_t pm_low = pmask & (stride - 1);
-  const int pm_q = static_cast<int>((pmask >> q) & 1);
-  // Blocked on the measured position so all four streams (two reads,
-  // two writes) advance sequentially; CZ-partner signs are constant per
-  // block whenever no partner sits below the measured wire.
-  for (std::uint64_t hp = 0; hp < rest_count >> q; ++hp) {
-    const std::uint64_t i0b = hp << (q + 1);
-    const std::uint64_t rb = hp << q;
-    const int ph = parity64(i0b & pmask);
-    if (pm_low == 0) {
-      const bool s0 = ph != 0;
-      const bool s1 = (ph ^ pm_q) != 0;
-      for (std::uint64_t lo = 0; lo < stride; ++lo) {
-        const std::complex<R> a = eff_mul(k0, e0, x[i0b + lo] * s);
-        const std::complex<R> b = eff_mul(k1, e1, x[i0b + stride + lo] * s);
-        out[rb + lo] = a + b;
-        out[rest_count + rb + lo] = (s0 ? -a : a) + (s1 ? -b : b);
-      }
-    } else {
-      for (std::uint64_t lo = 0; lo < stride; ++lo) {
-        const std::complex<R> a = eff_mul(k0, e0, x[i0b + lo] * s);
-        const std::complex<R> b = eff_mul(k1, e1, x[i0b + stride + lo] * s);
-        out[rb + lo] = a + b;
-        const int s0 = ph ^ parity64(lo & pm_low);
-        out[rest_count + rb + lo] = (s0 ? -a : a) + ((s0 ^ pm_q) ? -b : b);
+    if constexpr (!kWrite) acc[0].add(low);
+    for (int m = 0; m < kM; ++m) {
+      std::complex<R> v = eff_mul(kinds[2 * m], e[2 * m], low) +
+                          eff_mul(kinds[2 * m + 1], e[2 * m + 1], up);
+      if constexpr (kWrite) {
+        v *= inv;
+        out[i] = v;
+        acc[0].add(v);
+      } else {
+        acc[1 + m].add(v);
       }
     }
   }
 }
 
 template <class R>
-void s_teleport_collapse_range(const std::complex<R>* x, std::complex<R>* out,
-                               std::uint64_t dim, int q, std::uint64_t pmask,
-                               std::complex<R> e0, std::complex<R> e1, R s,
-                               std::uint64_t r_begin, std::uint64_t r_end,
-                               R* fold_lo, R* fold_hi) {
+void s_prep_fold(const std::complex<R>* x, std::uint64_t i_begin,
+                 std::uint64_t i_end, std::uint64_t pmask,
+                 const std::complex<R>* e, R s, R* folds) {
+  FoldAcc<R> acc[3];
+  s_prep_sweep<false, R>(x, nullptr, i_begin, i_end, pmask, e, s, R(1), acc);
+  for (int j = 0; j < 3; ++j) folds[j] = acc[j].combine();
+}
+
+template <class R>
+R s_prep_write(const std::complex<R>* x, std::complex<R>* out,
+               std::uint64_t i_begin, std::uint64_t i_end, std::uint64_t pmask,
+               std::complex<R> e0, std::complex<R> e1, R s, R inv) {
+  const std::complex<R> e[2] = {e0, e1};
+  FoldAcc<R> acc;
+  s_prep_sweep<true>(x, out, i_begin, i_end, pmask, e, s, inv, &acc);
+  return acc.combine();
+}
+
+/// Teleport sweep over pair ranks [r_begin, r_end): computes (and folds
+/// into lo[m] / hi[m]) only the output halves whose accumulators are
+/// given.
+template <bool kWrite, class R>
+void s_teleport_sweep(const std::complex<R>* x, std::complex<R>* out,
+                      std::uint64_t dim, int q, std::uint64_t pmask,
+                      const std::complex<R>* e, R s, R inv,
+                      std::uint64_t r_begin, std::uint64_t r_end,
+                      FoldAcc<R>* lo, FoldAcc<R>* hi) {
+  constexpr int kM = kOutcomes<kWrite>;
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t rest_count = dim / 2;
-  const EffKind k0 = eff_kind(e0);
-  const EffKind k1 = eff_kind(e1);
-  FoldAcc<R> acc_lo;
-  FoldAcc<R> acc_hi;
-  // Per-rank form of the blocked loop above: i0 = insert_zero_bit(r, q),
-  // sign = parity(i0 & pmask) since bit q of i0 is clear.  Bit-identical
-  // to the full pass restricted to [r_begin, r_end); the two slice folds
-  // restart their lanes at the slice start (the chunk-driver contract).
+  const int pm_q = static_cast<int>((pmask >> q) & 1);
+  EffKind kinds[2 * kM];
+  for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
+  // i0 = insert_zero_bit(r, q); the sign of the upper half is
+  // parity(i0 & pmask), since bit q of i0 is clear.
   for (std::uint64_t r = r_begin; r < r_end; ++r) {
     const std::uint64_t i0 = insert_zero_bit(r, q);
-    const std::complex<R> a = eff_mul(k0, e0, x[i0] * s);
-    const std::complex<R> b = eff_mul(k1, e1, x[i0 | stride] * s);
-    out[r] = a + b;
-    acc_lo.add(out[r]);
+    const std::complex<R> u0 = x[i0] * s;
+    const std::complex<R> u1 = x[i0 | stride] * s;
     const int s0 = parity64(i0 & pmask);
-    const int s1 = s0 ^ static_cast<int>((pmask >> q) & 1);
-    out[rest_count + r] = (s0 ? -a : a) + (s1 ? -b : b);
-    acc_hi.add(out[rest_count + r]);
+    const int s1 = s0 ^ pm_q;
+    for (int m = 0; m < kM; ++m) {
+      const std::complex<R> a = eff_mul(kinds[2 * m], e[2 * m], u0);
+      const std::complex<R> b = eff_mul(kinds[2 * m + 1], e[2 * m + 1], u1);
+      if (lo != nullptr) {
+        std::complex<R> v = a + b;
+        if constexpr (kWrite) {
+          v *= inv;
+          out[r] = v;
+        }
+        lo[m].add(v);
+      }
+      if (hi != nullptr) {
+        std::complex<R> v = (s0 ? -a : a) + (s1 ? -b : b);
+        if constexpr (kWrite) {
+          v *= inv;
+          out[rest_count + r] = v;
+        }
+        hi[m].add(v);
+      }
+    }
   }
-  *fold_lo = acc_lo.combine();
-  *fold_hi = acc_hi.combine();
+}
+
+template <class R>
+void s_teleport_fold(const std::complex<R>* x, std::uint64_t dim, int q,
+                     std::uint64_t pmask, const std::complex<R>* e, R s,
+                     std::uint64_t r_begin, std::uint64_t r_end, bool carry,
+                     R* folds, R* src_folds) {
+  if (src_folds != nullptr) {
+    const std::uint64_t len = r_end - r_begin;
+    const std::uint64_t stride = std::uint64_t{1} << q;
+    const std::uint64_t a = stride >= len ? insert_zero_bit(r_begin, q)
+                                          : 2 * r_begin;
+    const std::uint64_t b = stride >= len ? a + stride : a + len;
+    src_folds[0] = s_fold_norms_scaled(x + a, len, s);
+    src_folds[1] = s_fold_norms_scaled(x + b, len, s);
+  }
+  FoldAcc<R> lo[2], hi[2];
+  if (carry) {  // lower half first, the upper half continuing its lanes
+    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
+                               r_end, lo, nullptr);
+    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
+                               r_end, nullptr, lo);
+  } else {
+    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
+                               r_end, lo, hi);
+  }
+  for (int m = 0; m < 2; ++m) {
+    folds[2 * m] = lo[m].combine();
+    folds[2 * m + 1] = carry ? R(0) : hi[m].combine();
+  }
+}
+
+template <class R>
+void s_teleport_write(const std::complex<R>* x, std::complex<R>* out,
+                      std::uint64_t dim, int q, std::uint64_t pmask,
+                      std::complex<R> e0, std::complex<R> e1, R s, R inv,
+                      std::uint64_t r_begin, std::uint64_t r_end, R* folds) {
+  const std::complex<R> e[2] = {e0, e1};
+  FoldAcc<R> lo, hi;
+  s_teleport_sweep<true>(x, out, dim, q, pmask, e, s, inv, r_begin, r_end, &lo,
+                         &hi);
+  if (folds == nullptr) return;
+  folds[0] = lo.combine();
+  folds[1] = hi.combine();
 }
 
 template <class R>
@@ -278,15 +363,17 @@ constexpr CollapseKernelsT<R> kScalarTable = {
     s_fold_norms_scaled<R>,
     s_prep_total_fold<R>,
     s_scale_fold<R>,
-    s_collapse_pairs<R>,
-    s_prep_collapse<R>,
-    s_teleport_collapse<R>,
+    s_pairs_fold<R>,
+    s_pairs_write<R>,
+    s_prep_fold<R>,
+    s_prep_write<R>,
+    s_teleport_fold<R>,
+    s_teleport_write<R>,
     s_add_plus_cz<R>,
     s_sign_pass<R>,
     s_cz_masks_pass<R>,
     s_pauli_swap_pass<R>,
     s_phase_pass<R>,
-    s_teleport_collapse_range<R>,
     s_mirror_cz_range<R>,
     s_pauli_swap_range<R>,
 };

@@ -26,8 +26,8 @@
 // IN-REGISTER PAIRS.  When the measured wire's stride is narrower than
 // the register (q < log2 of the complex lanes per register), both
 // members of a pair sit in the same 2·W-element block.  The pair
-// kernels (collapse_pairs, teleport_collapse, teleport_collapse_range)
-// load the block as two registers and split it with the traits'
+// kernels (pairs_fold/pairs_write, teleport_fold/teleport_write) load
+// the block as two registers and split it with the traits'
 // Deinterleave(q) into its bit-q-clear and bit-q-set members, each in
 // ascending pair-rank order; the arithmetic after the split is the
 // wide-stride arithmetic unchanged, and the outputs stay contiguous in
@@ -118,15 +118,25 @@ struct VecKernels {
     V er, ei;
     explicit Eff(C e) noexcept
         : k(eff_kind(e)), er(T::set1(e.real())), ei(T::set1(e.imag())) {}
+    /// apply() for a kind fixed at compile time (K must equal k).
+    template <EffKind K>
+    V apply_as(V u) const noexcept {
+      if constexpr (K == EffKind::Real)
+        return T::mul(u, er);
+      else if constexpr (K == EffKind::Imag)
+        return T::neg_even(T::mul(T::swap_pairs(u), ei));
+      else
+        return T::add(T::mul(u, er),
+                      T::neg_even(T::mul(T::swap_pairs(u), ei)));
+    }
     V apply(V u) const noexcept {
       switch (k) {
         case EffKind::Real:
-          return T::mul(u, er);
+          return apply_as<EffKind::Real>(u);
         case EffKind::Imag:
-          return T::neg_even(T::mul(T::swap_pairs(u), ei));
+          return apply_as<EffKind::Imag>(u);
         default:
-          return T::add(T::mul(u, er),
-                        T::neg_even(T::mul(T::swap_pairs(u), ei)));
+          return apply_as<EffKind::Generic>(u);
       }
     }
   };
@@ -154,12 +164,14 @@ struct VecKernels {
     }
   };
 
-  /// Calls body(k, u0, u1) for pair ranks k = k_begin, k_begin + kWc,
-  /// ... < k_end (k_begin a multiple of kWc), where u0 / u1 hold the kWc
-  /// amplitudes x[i0] / x[i0 | 1<<q], i0 = insert_zero_bit(k + t, q),
-  /// t = 0..kWc−1.  A wide stride reads two contiguous runs; an
-  /// in-register stride reads the 2·kWc-amplitude block at 2k and splits
-  /// it.  Callers send in-register strides to scalar unless kSplits.
+  /// Calls body(k, u0, u1, v0, v1) for pair ranks k = k_begin,
+  /// k_begin + kWc, ... < k_end (k_begin a multiple of kWc), where u0 /
+  /// u1 hold the kWc amplitudes x[i0] / x[i0 | 1<<q], i0 =
+  /// insert_zero_bit(k + t, q), t = 0..kWc−1, and v0, v1 are the two
+  /// registers as loaded.  A wide stride reads two contiguous runs (v0 =
+  /// u0, v1 = u1); an in-register stride reads the 2·kWc-amplitude block
+  /// at 2k (v0 then v1) and splits it.  Callers send in-register strides
+  /// to scalar unless kSplits.
   template <class Body>
   static void for_pairs(const R* p, int q, std::uint64_t k_begin,
                         std::uint64_t k_end, Body&& body) {
@@ -167,14 +179,18 @@ struct VecKernels {
     if (stride >= std::uint64_t(kWc)) {
       for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
         const std::uint64_t i0 = insert_zero_bit(k, q);
-        body(k, T::load(p + 2 * i0), T::load(p + 2 * (i0 | stride)));
+        const V u0 = T::load(p + 2 * i0);
+        const V u1 = T::load(p + 2 * (i0 | stride));
+        body(k, u0, u1, u0, u1);
       }
     } else if constexpr (kSplits) {
       const typename T::Deinterleave split(q);
       for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
+        const V v0 = T::load(p + 4 * k);
+        const V v1 = T::load(p + 4 * k + kW);
         V u0, u1;
-        split(T::load(p + 4 * k), T::load(p + 4 * k + kW), u0, u1);
-        body(k, u0, u1);
+        split(v0, v1, u0, u1);
+        body(k, u0, u1, v0, v1);
       }
     }
   }
@@ -218,32 +234,269 @@ struct VecKernels {
     }
   };
 
-  /// The teleport projection over pair ranks [r_begin, r_end), both
-  /// multiples of kWc: out[r] = a + b and out[dim/2 + r] = ±a ± b with
-  /// a, b the scaled effect products.  Folds each half into acc_lo /
-  /// acc_hi when given.
+  /// How a projection sweep forms its outcomes — the mode parameter of
+  /// the three sweep bodies below (see the projection entries in
+  /// collapse_kernels.h):
+  ///   Write  — the outcome with effects (e[0], e[1]), scaled by inv and
+  ///            stored; the stored values are folded;
+  ///   Fold   — both outcomes from their four effect products, folded;
+  ///   Mirror, Swap — both outcomes folded from outcome 0's two products
+  ///            (see EffPairing); Swap only for the gadget, whose two
+  ///            products share one input.
+  /// Write, Mirror and Swap take the effect kinds as template arguments
+  /// (see with_kinds), so their loops branch on no kind; Fold keeps the
+  /// per-vector dispatch.
+  enum class Pass { Write, Fold, Mirror, Swap };
+
+  /// Calls body.template operator()<P, K0, K1>() with the kinds of e[0]
+  /// and e[1] as K0, K1 (unused by Fold).
+  template <Pass P, class Body>
+  static void with_kinds(const C* e, Body&& body) {
+    if constexpr (P == Pass::Fold) {
+      body.template operator()<P, EffKind::Generic, EffKind::Generic>();
+    } else {
+      auto second = [&]<EffKind K0>() {
+        switch (eff_kind(e[1])) {
+          case EffKind::Real:
+            body.template operator()<P, K0, EffKind::Real>();
+            return;
+          case EffKind::Imag:
+            body.template operator()<P, K0, EffKind::Imag>();
+            return;
+          default:
+            body.template operator()<P, K0, EffKind::Generic>();
+            return;
+        }
+      };
+      switch (eff_kind(e[0])) {
+        case EffKind::Real:
+          second.template operator()<EffKind::Real>();
+          return;
+        case EffKind::Imag:
+          second.template operator()<EffKind::Imag>();
+          return;
+        default:
+          second.template operator()<EffKind::Generic>();
+          return;
+      }
+    }
+  }
+
+  /// with_kinds for a fold pass over effects e[0..3]: Mirror or (when
+  /// kSwap, the gadget) Swap if outcome 1's effects rearrange outcome
+  /// 0's, else Fold.
+  template <bool kSwap, class Body>
+  static void fold_with(const C* e, Body&& body) {
+    const EffPairing pairing = eff_pairing(e);
+    if (pairing == EffPairing::Mirror) {
+      with_kinds<Pass::Mirror>(e, body);
+      return;
+    }
+    if constexpr (kSwap) {
+      if (pairing == EffPairing::Swap) {
+        with_kinds<Pass::Swap>(e, body);
+        return;
+      }
+    }
+    with_kinds<Pass::Fold>(e, body);
+  }
+
+  /// Stores v·inv (Write) and folds what the pass defines: the stored
+  /// value, or (fold passes) v itself.
+  template <Pass P>
+  static void emit(R* o, V v, V inv, Acc& acc, bool fold = true) noexcept {
+    if constexpr (P == Pass::Write) {
+      v = T::mul(v, inv);
+      T::store(o, v);
+    }
+    if (fold) acc.add(v);
+  }
+
+  static V negate(V v) noexcept { return T::xor_signs(v, T::set1(R(-0.0))); }
+
+  /// The measure_remove sweep over pair ranks [0, pairs): acc[m] folds
+  /// outcome m (fold passes) or the stored outcome (Write, acc[0]).
+  template <Pass P, EffKind K0, EffKind K1>
+  static void pairs_steps(const C* x, C* out, std::uint64_t pairs, int q,
+                          const C* e, R inv, Acc* acc) {
+    constexpr bool kFold = P == Pass::Fold;
+    R* o = dp(out);
+    const V iv = T::set1(inv);
+    const Eff f0(e[0]), f1(e[1]);
+    const Eff f2(e[kFold ? 2 : 0]), f3(e[kFold ? 3 : 1]);
+    // Accumulate in locals (kept in registers; written back at the end).
+    Acc a0 = acc[0], a1;
+    if constexpr (P != Pass::Write) a1 = acc[1];
+    for_pairs(dp(x), q, 0, pairs, [&](std::uint64_t k, V u0, V u1, V, V) {
+      if constexpr (kFold) {
+        a0.add(T::add(f0.apply(u0), f1.apply(u1)));
+        a1.add(T::add(f2.apply(u0), f3.apply(u1)));
+      } else {
+        const V a = f0.template apply_as<K0>(u0);
+        const V b = f1.template apply_as<K1>(u1);
+        emit<P>(o + 2 * k, T::add(a, b), iv, a0);
+        if constexpr (P == Pass::Mirror) a1.add(T::add(a, negate(b)));
+      }
+    });
+    acc[0] = a0;
+    if constexpr (P != Pass::Write) acc[1] = a1;
+  }
+
+  /// The gadget sweep over [i_begin, i_end): fold passes fold low = s·x
+  /// into acc[0] and outcome m into acc[1 + m]; Write folds into acc[0].
+  template <Pass P, EffKind K0, EffKind K1>
+  static void prep_steps(const C* x, C* out, std::uint64_t i_begin,
+                         std::uint64_t i_end, std::uint64_t pmask, const C* e,
+                         R s, R inv, Acc* acc) {
+    constexpr bool kFold = P == Pass::Fold;
+    const R* p = dp(x);
+    R* o = dp(out);
+    const V sv = T::set1(s);
+    const V iv = T::set1(inv);
+    const Eff f0(e[0]), f1(e[1]);
+    const Eff f2(e[kFold ? 2 : 0]), f3(e[kFold ? 3 : 1]);
+    const PairSigns signs(pmask);
+    Acc a0 = acc[0], a1, a2;
+    if constexpr (P != Pass::Write) {
+      a1 = acc[1];
+      a2 = acc[2];
+    }
+    for (std::uint64_t i = i_begin; i < i_end; i += kWc) {
+      const V low = T::mul(T::load(p + 2 * i), sv);
+      const V sign = signs.at(i);
+      if constexpr (P == Pass::Write) {
+        const V up = T::xor_signs(low, sign);  // sign BEFORE effect
+        emit<P>(o + 2 * i,
+                T::add(f0.template apply_as<K0>(low),
+                       f1.template apply_as<K1>(up)),
+                iv, a0);
+      } else if constexpr (kFold) {
+        const V up = T::xor_signs(low, sign);
+        a0.add(low);
+        a1.add(T::add(f0.apply(low), f1.apply(up)));
+        a2.add(T::add(f2.apply(low), f3.apply(up)));
+      } else {
+        // Both products of low; the up half's sign moves onto them.
+        const V a = f0.template apply_as<K0>(low);
+        const V b = f1.template apply_as<K1>(low);
+        const V sb = T::xor_signs(b, sign);
+        a0.add(low);
+        a1.add(T::add(a, sb));
+        if constexpr (P == Pass::Mirror)
+          a2.add(T::add(a, negate(sb)));
+        else
+          a2.add(T::add(b, T::xor_signs(a, sign)));
+      }
+    }
+    acc[0] = a0;
+    if constexpr (P != Pass::Write) {
+      acc[1] = a1;
+      acc[2] = a2;
+    }
+  }
+
+  /// The teleport sweep over pair ranks [r_begin, r_end), both
+  /// multiples of kWc: lower out[r] = a + b and upper out[dim/2 + r] =
+  /// ±a ± b with a, b the scaled effect products of each outcome the
+  /// pass computes.  Only the halves whose accumulators (lo[m] / hi[m])
+  /// are given are computed.  With src, the fold pass also folds s·x over
+  /// the slice's two source blocks into src[0] / src[1] (see
+  /// teleport_fold), in index order as it reads them: the u0 and u1 runs
+  /// of a stride at least the slice length, or the loaded registers of
+  /// an in-register stride.  Other strides must not pass src.
+  template <Pass P, EffKind K0, EffKind K1>
   static void teleport_steps(const C* x, C* out, std::uint64_t dim, int q,
-                             std::uint64_t pmask, C e0, C e1, R s,
+                             std::uint64_t pmask, const C* e, R s, R inv,
                              std::uint64_t r_begin, std::uint64_t r_end,
-                             Acc* acc_lo, Acc* acc_hi) {
+                             Acc* lo, Acc* hi, Acc* src = nullptr,
+                             bool fold_stored = true) {
+    constexpr bool kFold = P == Pass::Fold;
+    constexpr int kM = P == Pass::Write ? 1 : 2;
     const std::uint64_t rest_count = dim / 2;
     R* o = dp(out);
     const V sv = T::set1(s);
-    const Eff f0(e0), f1(e1);
+    const V iv = T::set1(inv);
+    const Eff f0(e[0]), f1(e[1]);
+    const Eff f2(e[kFold ? 2 : 0]), f3(e[kFold ? 3 : 1]);
     const TeleportSigns signs(q, pmask);
-    for_pairs(dp(x), q, r_begin, r_end, [&](std::uint64_t r, V u0, V u1) {
-      const V a = f0.apply(T::mul(u0, sv));
-      const V b = f1.apply(T::mul(u1, sv));
-      const V r0 = T::add(a, b);
-      T::store(o + 2 * r, r0);
-      // Sign AFTER the product, as the scalar path always has.
-      const V r1 = signs.upper(a, b, insert_zero_bit(r, q));
-      T::store(o + 2 * (rest_count + r), r1);
-      if (acc_lo != nullptr) {
-        acc_lo->add(r0);
-        acc_hi->add(r1);
+    // Accumulate in locals (kept in registers; the caller's are written
+    // back once at the end).
+    const bool do_lo = lo != nullptr, do_hi = hi != nullptr;
+    const bool runs = src != nullptr && (std::uint64_t{1} << q) >= kWc;
+    const bool loads = src != nullptr && !runs;
+    Acc l[kM], h[kM], s0, s1;
+    for (int m = 0; m < kM; ++m) {
+      if (do_lo) l[m] = lo[m];
+      if (do_hi) h[m] = hi[m];
+    }
+    // Loaded registers run through the first source block for the first
+    // half of the slice's ranks, then through the second.
+    const std::uint64_t mid = r_begin + (r_end - r_begin) / 2;
+    for_pairs(dp(x), q, r_begin, r_end, [&](std::uint64_t r, V u0, V u1,
+                                            V v0, V v1) {
+      const V x0 = T::mul(u0, sv);
+      const V x1 = T::mul(u1, sv);
+      if (runs) {
+        s0.add(x0);
+        s1.add(x1);
+      } else if (loads) {
+        const V y0 = T::mul(v0, sv);
+        const V y1 = T::mul(v1, sv);
+        if (r < mid) {
+          s0.add(y0);
+          s0.add(y1);
+        } else {
+          s1.add(y0);
+          s1.add(y1);
+        }
+      }
+      const std::uint64_t i0 = insert_zero_bit(r, q);
+      if constexpr (kFold) {
+        const V a[2] = {f0.apply(x0), f2.apply(x0)};
+        const V b[2] = {f1.apply(x1), f3.apply(x1)};
+        for (int m = 0; m < kM; ++m) {
+          if (do_lo) l[m].add(T::add(a[m], b[m]));
+          if (do_hi) h[m].add(signs.upper(a[m], b[m], i0));
+        }
+      } else {
+        const V a = f0.template apply_as<K0>(x0);
+        const V b = f1.template apply_as<K1>(x1);
+        if (do_lo) {
+          emit<P>(o + 2 * r, T::add(a, b), iv, l[0], fold_stored);
+          if constexpr (P == Pass::Mirror) l[1].add(T::add(a, negate(b)));
+        }
+        // Sign AFTER the product, as the scalar path always has.
+        if (do_hi) {
+          emit<P>(o + 2 * (rest_count + r), signs.upper(a, b, i0), iv, h[0],
+                  fold_stored);
+          if constexpr (P == Pass::Mirror)
+            h[1].add(signs.upper(a, negate(b), i0));
+        }
       }
     });
+    for (int m = 0; m < kM; ++m) {
+      if (do_lo) lo[m] = l[m];
+      if (do_hi) hi[m] = h[m];
+    }
+    if (src != nullptr) {
+      src[0] = s0;
+      src[1] = s1;
+    }
+  }
+
+  /// True when a teleport slice must go to scalar.  A partner below the
+  /// measured wire makes the ± signs vary inside a block — rare (mixer
+  /// J chains never do it).  The folds restart (or, carried, wrap from
+  /// the lower half into the upper) at the slice bounds, so the slice
+  /// must sit on the delegation quantum, and the rank loop needs whole
+  /// 2·max(stride, kWc) blocks.
+  static bool teleport_delegates(std::uint64_t dim, int q,
+                                 std::uint64_t pmask, std::uint64_t r_begin,
+                                 std::uint64_t r_end) noexcept {
+    const std::uint64_t stride = std::uint64_t{1} << q;
+    return narrow_unsplit(q) || (pmask & (stride - 1)) != 0 ||
+           dim % (2 * std::max(stride, std::uint64_t(kWc))) != 0 ||
+           r_begin % kQ != 0 || (r_end - r_begin) % kQ != 0;
   }
 
   static R fold_norms(const C* x, std::uint64_t n) {
@@ -288,80 +541,121 @@ struct VecKernels {
     return acc.combine();
   }
 
-  static R collapse_pairs(const C* x, C* out, std::uint64_t pairs, int q,
-                          C e0, C e1) {
+  static void pairs_fold(const C* x, std::uint64_t pairs, int q, const C* e,
+                         R* folds) {
+    if (pairs % kQ != 0 || narrow_unsplit(q)) {
+      scalar_kernels_t<R>().pairs_fold(x, pairs, q, e, folds);
+      return;
+    }
+    Acc acc[2];
+    fold_with<false>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      pairs_steps<P, K0, K1>(x, nullptr, pairs, q, e, R(1), acc);
+    });
+    for (int m = 0; m < 2; ++m) folds[m] = acc[m].combine();
+  }
+
+  static R pairs_write(const C* x, C* out, std::uint64_t pairs, int q, C e0,
+                       C e1, R inv) {
     if (pairs % kQ != 0 || narrow_unsplit(q))
-      return scalar_kernels_t<R>().collapse_pairs(x, out, pairs, q, e0, e1);
-    R* o = dp(out);
-    const Eff f0(e0), f1(e1);
+      return scalar_kernels_t<R>().pairs_write(x, out, pairs, q, e0, e1, inv);
+    const C e[2] = {e0, e1};
     Acc acc;
-    for_pairs(dp(x), q, 0, pairs, [&](std::uint64_t k, V u0, V u1) {
-      const V r = T::add(f0.apply(u0), f1.apply(u1));
-      T::store(o + 2 * k, r);
-      acc.add(r);
+    with_kinds<Pass::Write>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      pairs_steps<P, K0, K1>(x, out, pairs, q, e, inv, &acc);
     });
     return acc.combine();
   }
 
-  static R prep_collapse(const C* x, C* out, std::uint64_t dim,
-                         std::uint64_t pmask, C e0, C e1, R s) {
-    if (dim % kQ != 0)
-      return scalar_kernels_t<R>().prep_collapse(x, out, dim, pmask, e0, e1,
-                                                 s);
-    const R* p = dp(x);
-    R* o = dp(out);
-    const V sv = T::set1(s);
-    const Eff f0(e0), f1(e1);
-    const PairSigns signs(pmask);
-    Acc acc;
-    for (std::uint64_t i = 0; i < dim; i += kWc) {
-      const V low = T::mul(T::load(p + 2 * i), sv);
-      const V up = T::xor_signs(low, signs.at(i));  // sign BEFORE effect
-      const V r = T::add(f0.apply(low), f1.apply(up));
-      T::store(o + 2 * i, r);
-      acc.add(r);
+  static void prep_fold(const C* x, std::uint64_t i_begin, std::uint64_t i_end,
+                        std::uint64_t pmask, const C* e, R s, R* folds) {
+    if (i_begin % kQ != 0 || (i_end - i_begin) % kQ != 0) {
+      scalar_kernels_t<R>().prep_fold(x, i_begin, i_end, pmask, e, s, folds);
+      return;
     }
+    Acc acc[3];
+    fold_with<true>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      prep_steps<P, K0, K1>(x, nullptr, i_begin, i_end, pmask, e, s, R(1),
+                            acc);
+    });
+    for (int j = 0; j < 3; ++j) folds[j] = acc[j].combine();
+  }
+
+  static R prep_write(const C* x, C* out, std::uint64_t i_begin,
+                      std::uint64_t i_end, std::uint64_t pmask, C e0, C e1,
+                      R s, R inv) {
+    if (i_begin % kQ != 0 || (i_end - i_begin) % kQ != 0)
+      return scalar_kernels_t<R>().prep_write(x, out, i_begin, i_end, pmask,
+                                              e0, e1, s, inv);
+    const C e[2] = {e0, e1};
+    Acc acc;
+    with_kinds<Pass::Write>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      prep_steps<P, K0, K1>(x, out, i_begin, i_end, pmask, e, s, inv, &acc);
+    });
     return acc.combine();
   }
 
-  static void teleport_collapse(const C* x, C* out, std::uint64_t dim, int q,
-                                std::uint64_t pmask, C e0, C e1, R s) {
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    // A partner below the measured wire makes the ± signs vary inside a
-    // block — rare (mixer J chains never do it); leave it to scalar.
-    // The rank loop also needs whole 2·max(stride, kWc) blocks.
-    if (dim % kQ != 0 ||
-        dim % (2 * std::max(stride, std::uint64_t(kWc))) != 0 ||
-        narrow_unsplit(q) || (pmask & (stride - 1)) != 0) {
-      scalar_kernels_t<R>().teleport_collapse(x, out, dim, q, pmask, e0, e1,
-                                              s);
+  static void teleport_fold(const C* x, std::uint64_t dim, int q,
+                            std::uint64_t pmask, const C* e, R s,
+                            std::uint64_t r_begin, std::uint64_t r_end,
+                            bool carry, R* folds, R* src_folds) {
+    if (teleport_delegates(dim, q, pmask, r_begin, r_end)) {
+      scalar_kernels_t<R>().teleport_fold(x, dim, q, pmask, e, s, r_begin,
+                                          r_end, carry, folds, src_folds);
       return;
     }
-    teleport_steps(x, out, dim, q, pmask, e0, e1, s, 0, dim / 2, nullptr,
-                   nullptr);
+    const std::uint64_t stride = std::uint64_t{1} << q;
+    const std::uint64_t len = r_end - r_begin;
+    // The source blocks fold inline when the sweep reads them in index
+    // order; a stride between the register width and the slice length
+    // interleaves them, so they are folded after the sweep (from cache).
+    const bool inline_src =
+        src_folds != nullptr &&
+        (stride >= len || (stride < kWc && (len / 2) % kWc == 0));
+    Acc lo[2], hi[2], src[2];
+    fold_with<false>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      if (carry) {  // lower half first, the upper half continuing its lanes
+        teleport_steps<P, K0, K1>(x, nullptr, dim, q, pmask, e, s, R(1),
+                                  r_begin, r_end, lo, nullptr);
+        teleport_steps<P, K0, K1>(x, nullptr, dim, q, pmask, e, s, R(1),
+                                  r_begin, r_end, nullptr, lo);
+      } else {
+        teleport_steps<P, K0, K1>(x, nullptr, dim, q, pmask, e, s, R(1),
+                                  r_begin, r_end, lo, hi,
+                                  inline_src ? src : nullptr);
+      }
+    });
+    for (int m = 0; m < 2; ++m) {
+      folds[2 * m] = lo[m].combine();
+      folds[2 * m + 1] = carry ? R(0) : hi[m].combine();
+    }
+    if (src_folds == nullptr) return;
+    if (inline_src) {
+      src_folds[0] = src[0].combine();
+      src_folds[1] = src[1].combine();
+    } else {
+      src_folds[0] = fold_norms_scaled(x + 2 * r_begin, len, s);
+      src_folds[1] = fold_norms_scaled(x + 2 * r_begin + len, len, s);
+    }
   }
 
-  static void teleport_collapse_range(const C* x, C* out, std::uint64_t dim,
-                                      int q, std::uint64_t pmask, C e0, C e1,
-                                      R s, std::uint64_t r_begin,
-                                      std::uint64_t r_end, R* fold_lo,
-                                      R* fold_hi) {
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    // The slice folds restart their lanes at r_begin, so the slice must
-    // begin and end on the delegation quantum; partner bits below the
-    // measured wire go to scalar as in the full pass.
-    if (narrow_unsplit(q) || (pmask & (stride - 1)) != 0 ||
-        r_begin % kQ != 0 || (r_end - r_begin) % kQ != 0) {
-      scalar_kernels_t<R>().teleport_collapse_range(
-          x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, fold_lo, fold_hi);
+  static void teleport_write(const C* x, C* out, std::uint64_t dim, int q,
+                             std::uint64_t pmask, C e0, C e1, R s, R inv,
+                             std::uint64_t r_begin, std::uint64_t r_end,
+                             R* folds) {
+    if (teleport_delegates(dim, q, pmask, r_begin, r_end)) {
+      scalar_kernels_t<R>().teleport_write(x, out, dim, q, pmask, e0, e1, s,
+                                           inv, r_begin, r_end, folds);
       return;
     }
-    Acc acc_lo;
-    Acc acc_hi;
-    teleport_steps(x, out, dim, q, pmask, e0, e1, s, r_begin, r_end, &acc_lo,
-                   &acc_hi);
-    *fold_lo = acc_lo.combine();
-    *fold_hi = acc_hi.combine();
+    const C e[2] = {e0, e1};
+    Acc lo, hi;
+    with_kinds<Pass::Write>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
+      teleport_steps<P, K0, K1>(x, out, dim, q, pmask, e, s, inv, r_begin,
+                                r_end, &lo, &hi, nullptr, folds != nullptr);
+    });
+    if (folds == nullptr) return;
+    folds[0] = lo.combine();
+    folds[1] = hi.combine();
   }
 
   static R add_plus_cz(C* x, std::uint64_t old_dim, std::uint64_t pmask,
@@ -542,15 +836,17 @@ const CollapseKernelsT<typename T::R>* make_vec_table(SimdIsa isa) noexcept {
       K::fold_norms_scaled,
       K::prep_total_fold,
       K::scale_fold,
-      K::collapse_pairs,
-      K::prep_collapse,
-      K::teleport_collapse,
+      K::pairs_fold,
+      K::pairs_write,
+      K::prep_fold,
+      K::prep_write,
+      K::teleport_fold,
+      K::teleport_write,
       K::add_plus_cz,
       K::sign_pass,
       K::cz_masks_pass,
       K::pauli_swap_pass,
       K::phase_pass,
-      K::teleport_collapse_range,
       K::mirror_cz_range,
       K::pauli_swap_range,
   };

@@ -1,7 +1,6 @@
 #pragma once
 // Deterministic chunked (and optionally threaded) drivers over the
-// collapse-kernel tables, plus the cache-blocked fusions of the
-// multi-pass sweeps.
+// collapse-kernel tables, including the two-sweep measurements.
 //
 // THE CHUNKED CONTRACT.  Above a size cutoff, every sweep is DEFINED as
 // a sequence of fixed-size chunks of its index space:
@@ -23,19 +22,26 @@
 // count, for every ISA flavor — the dispatch battery rejects any
 // flavor×thread combination that diverges.
 //
-// CACHE BLOCKING falls out of the same decomposition: the *_with_total
-// drivers compute a sweep's Born denominator AND its projection chunk
-// by chunk, so each amplitude block is read once and reused from L2
-// instead of being streamed from DRAM twice.  Fusion never changes
-// values: the per-chunk partials and their combination order are
-// exactly those of the unfused drivers.
+// CACHE BLOCKING falls out of the same decomposition.  A measurement is
+// two sweeps: a read-only fold pass that computes, chunk by chunk, the
+// Born denominator (when it is needed) and BOTH outcomes' projection
+// folds, and — after the draw — a write pass that stores the chosen
+// projection already scaled by 1/√(its fold).  A source block the fold
+// pass needs twice (the measure_remove total over a stale fold; a
+// teleport total at a stride the kernel does not read in index order)
+// is re-read from L2, not memory.  So a sampled measurement reads the
+// register from memory twice and writes one output, where collapse,
+// redo-on-outcome-0 and rescale used to sweep it 3.5 to 6 times.  The
+// passes never change values: each fold keeps the per-chunk partials
+// and the combination order of the sweep it replaces.
 //
 // Where two different drivers can cover the same logical fold (the
 // compiled prep_total_fold vs the interpreted add_plus_cz over the
-// doubled register; collapse_pairs vs prep_collapse over the same out
-// array), their chunk decompositions are aligned by construction —
-// both sides chunk the same array at the same boundaries — preserving
-// the compiled ≡ interpreted bit-identity the tests assert.
+// doubled register; a fold pass's projection folds vs the write pass's
+// fold of what it stores), their chunk decompositions are aligned by
+// construction — both sides chunk the same array at the same
+// boundaries — preserving the compiled ≡ interpreted bit-identity the
+// tests assert.
 
 #include <algorithm>
 #include <array>
@@ -90,13 +96,6 @@ inline bool chunked(std::uint64_t space) noexcept {
 }
 
 }  // namespace detail
-
-/// Both folds of a fused blocked measure pass.
-template <class R>
-struct Folds2 {
-  R total;  // Born denominator (pre-measure norm fold)
-  R proj;   // projection norm fold
-};
 
 // --- folds -------------------------------------------------------------------
 
@@ -159,178 +158,257 @@ R scale_fold(const CollapseKernelsT<R>& k, std::complex<R>* x,
   return detail::combine(p.data(), nc);
 }
 
-// --- measure_remove ----------------------------------------------------------
+// --- two-sweep measurements ------------------------------------------------
+// Each measurement shape has a fold driver (read-only: the Born total
+// when asked for, and both outcomes' projection folds) and a write
+// driver (the chosen projection scaled by inv, stored, folded).  The
+// fold driver's proj[m] is bitwise the fold an unscaled collapse of
+// outcome m used to return; the write driver's result is bitwise what
+// scale_fold over that collapse returned — both chunk the same arrays
+// at the same boundaries with the same per-chunk lanes.
 
-/// collapse_pairs over pair-rank chunks.  A chunk of kChunkAmps ranks
-/// maps to a contiguous out slice and (for either stride regime) to
-/// offset sub-calls of the plain kernel:
-///   stride >= C: i0(k0 + t) = i0(k0) + t for t < C, so the sub-call
-///     sees an effective q with stride > its range and reads
-///     x + i0(k0) .. and x + i0(k0) + stride;
-///   stride <  C: i0(k0 + t) = 2·k0 + i0(t) (k0 is a multiple of
-///     stride), so the sub-call runs the same q on x + 2·k0.
+/// What a measurement's fold pass returns.
 template <class R>
-R collapse_pairs(const CollapseKernelsT<R>& k, const std::complex<R>* x,
-                 std::complex<R>* out, std::uint64_t pairs, int q,
-                 std::complex<R> e0, std::complex<R> e1, int threads) {
-  if (!detail::chunked(pairs)) return k.collapse_pairs(x, out, pairs, q, e0, e1);
+struct BornFolds {
+  R total;    // Born denominator; 0 unless requested
+  R proj[2];  // squared norm of each outcome's unnormalized projection
+};
+
+namespace detail {
+
+/// The x offset of the measure_remove sub-call for the pair-rank chunk
+/// at k0.  A chunk of kChunkAmps ranks maps to a contiguous out slice
+/// and (for either stride regime) to an offset sub-call of the plain
+/// kernel with the same q:
+///   stride >= C: i0(k0 + t) = i0(k0) + t for t < C, so the sub-call
+///     reads x + i0(k0) .. and x + i0(k0) + stride;
+///   stride <  C: i0(k0 + t) = 2·k0 + i0(t) (k0 is a multiple of
+///     stride), so the sub-call reads the 2·C block at x + 2·k0.
+/// Either way the x blocks it reads are whole, aligned x chunks.
+inline std::uint64_t pair_chunk_base(std::uint64_t k0, int q) noexcept {
+  return (std::uint64_t{1} << q) >= kChunkAmps ? insert_zero_bit(k0, q)
+                                                : 2 * k0;
+}
+
+/// Calls fold(x_chunk_index, x_offset) for the two x chunks the
+/// pair-rank chunk at k0 reads (see pair_chunk_base).
+template <class F>
+void for_pair_chunk_sources(std::uint64_t k0, int q, F&& fold) {
   const std::uint64_t stride = std::uint64_t{1} << q;
+  const std::uint64_t i0 = pair_chunk_base(k0, q);
+  const std::uint64_t i1 = stride >= kChunkAmps ? i0 + stride : i0 + kChunkAmps;
+  fold(i0 / kChunkAmps, i0);
+  fold(i1 / kChunkAmps, i1);
+}
+
+}  // namespace detail
+
+/// measure_remove fold pass.  With want_total, total = fold_norms(x,
+/// 2·pairs): above the cutoff each rank chunk folds the two x chunks it
+/// reads right after reading them, so they are re-read from L2, not
+/// memory.
+template <class R>
+BornFolds<R> pairs_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
+                        std::uint64_t pairs, int q, const std::complex<R>* e,
+                        bool want_total, int threads) {
+  BornFolds<R> f{R(0), {R(0), R(0)}};
+  if (!detail::chunked(pairs)) {
+    // The total keeps the global fold definition (it may chunk at
+    // 2·pairs even when the pair space is below the cutoff).
+    if (want_total) f.total = fold_norms(k, x, 2 * pairs, threads);
+    k.pairs_fold(x, pairs, q, e, f.proj);
+    return f;
+  }
+  const std::uint64_t nc = pairs / kChunkAmps;        // projection chunks
+  const std::uint64_t nx = (2 * pairs) / kChunkAmps;  // x-fold chunks
+  auto& p = detail::parts<R>();
+  p.resize(2 * nc + nx);
+  R* p0 = p.data();
+  R* p1 = p0 + nc;
+  R* xp = p1 + nc;
+  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
+    const std::uint64_t k0 = c * kChunkAmps;
+    R pr[2];
+    k.pairs_fold(x + detail::pair_chunk_base(k0, q), kChunkAmps, q, e, pr);
+    p0[c] = pr[0];
+    p1[c] = pr[1];
+    if (want_total)
+      detail::for_pair_chunk_sources(k0, q, [&](auto j, auto off) {
+        xp[j] = k.fold_norms(x + off, kChunkAmps);
+      });
+  });
+  f.proj[0] = detail::combine(p0, nc);
+  f.proj[1] = detail::combine(p1, nc);
+  if (want_total) f.total = detail::combine(xp, nx);
+  return f;
+}
+
+/// measure_remove write pass: out[k] = proj[k]·inv, returning the fold
+/// of out under the chunk contract.
+template <class R>
+R pairs_write(const CollapseKernelsT<R>& k, const std::complex<R>* x,
+              std::complex<R>* out, std::uint64_t pairs, int q,
+              std::complex<R> e0, std::complex<R> e1, R inv, int threads) {
+  if (!detail::chunked(pairs))
+    return k.pairs_write(x, out, pairs, q, e0, e1, inv);
   const std::uint64_t nc = pairs / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
     const std::uint64_t k0 = c * kChunkAmps;
-    if (stride >= kChunkAmps) {
-      p[c] = k.collapse_pairs(x + insert_zero_bit(k0, q), out + k0,
-                              kChunkAmps, q, e0, e1);
-    } else {
-      p[c] = k.collapse_pairs(x + 2 * k0, out + k0, kChunkAmps, q, e0, e1);
-    }
+    p[c] = k.pairs_write(x + detail::pair_chunk_base(k0, q), out + k0,
+                         kChunkAmps, q, e0, e1, inv);
   });
   return detail::combine(p.data(), nc);
-}
-
-/// Fused measure_remove when the caller has no valid running fold:
-/// total = fold_norms(x, 2·pairs) and proj = collapse_pairs(...), with
-/// each source block folded in the same chunk pass that consumes it —
-/// one read of x instead of two.  Chunk partials and combination order
-/// are exactly those of the unfused drivers.
-template <class R>
-Folds2<R> collapse_pairs_with_total(const CollapseKernelsT<R>& k,
-                                    const std::complex<R>* x,
-                                    std::complex<R>* out, std::uint64_t pairs,
-                                    int q, std::complex<R> e0,
-                                    std::complex<R> e1, int threads) {
-  if (!detail::chunked(pairs)) {
-    // The total keeps the global fold definition (it may chunk at
-    // 2·pairs even when the pair space is below the cutoff); below both
-    // cutoffs this is EXACTLY the historical two-call sequence.
-    const R total = fold_norms(k, x, 2 * pairs, threads);
-    const R proj = k.collapse_pairs(x, out, pairs, q, e0, e1);
-    return {total, proj};
-  }
-  const std::uint64_t stride = std::uint64_t{1} << q;
-  const std::uint64_t nc = pairs / kChunkAmps;        // projection chunks
-  const std::uint64_t nx = (2 * pairs) / kChunkAmps;  // x-fold chunks
-  auto& p = detail::parts<R>();
-  p.resize(nc + nx);
-  R* proj_parts = p.data();
-  R* x_parts = p.data() + nc;
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    const std::uint64_t k0 = c * kChunkAmps;
-    if (stride >= kChunkAmps) {
-      // The two x blocks this rank chunk reads are themselves aligned
-      // x-fold chunks: fold them here, while they are hot.
-      const std::uint64_t i0 = insert_zero_bit(k0, q);
-      x_parts[i0 / kChunkAmps] = k.fold_norms(x + i0, kChunkAmps);
-      x_parts[(i0 + stride) / kChunkAmps] =
-          k.fold_norms(x + i0 + stride, kChunkAmps);
-      proj_parts[c] =
-          k.collapse_pairs(x + i0, out + k0, kChunkAmps, q, e0, e1);
-    } else {
-      x_parts[2 * c] = k.fold_norms(x + 2 * k0, kChunkAmps);
-      x_parts[2 * c + 1] = k.fold_norms(x + 2 * k0 + kChunkAmps, kChunkAmps);
-      proj_parts[c] =
-          k.collapse_pairs(x + 2 * k0, out + k0, kChunkAmps, q, e0, e1);
-    }
-  });
-  return {detail::combine(x_parts, nx), detail::combine(proj_parts, nc)};
 }
 
 // --- fused prep+CZ+measure (prep_cz_measure) ---------------------------------
+// The gadget chunks its dim array; each chunk is an index slice of the
+// kernels, which read the CZ signs off the global index.
 
-/// prep_collapse over dim chunks.  The offset sub-call passes the
-/// low pmask bits and folds the chunk's base parity into the sign of
-/// e1: eff(e1, −u) ≡ eff(−e1, u) bitwise, term by term (IEEE sign
-/// symmetry of multiplication), so the sub-call's values are identical
-/// to the full pass restricted to the chunk.
+/// The gadget fold pass.  total (want_total) is the fold of the DOUBLED
+/// register [s·x | ±s·x]; its chunk space is 2·dim, whose upper half's
+/// chunk partials equal the lower half's bitwise (signs square away),
+/// so each chunk's low fold is computed once and added twice.
 template <class R>
-R prep_collapse(const CollapseKernelsT<R>& k, const std::complex<R>* x,
-                std::complex<R>* out, std::uint64_t dim, std::uint64_t pmask,
-                std::complex<R> e0, std::complex<R> e1, R s, int threads) {
-  if (!detail::chunked(dim))
-    return k.prep_collapse(x, out, dim, pmask, e0, e1, s);
+BornFolds<R> prep_fold(const CollapseKernelsT<R>& k, const std::complex<R>* x,
+                       std::uint64_t dim, std::uint64_t pmask,
+                       const std::complex<R>* e, R s, bool want_total,
+                       int threads) {
+  BornFolds<R> f{R(0), {R(0), R(0)}};
+  if (!detail::chunked(dim)) {
+    R folds[3];
+    k.prep_fold(x, 0, dim, pmask, e, s, folds);
+    f.proj[0] = folds[1];
+    f.proj[1] = folds[2];
+    // 2·dim exactly at the cutoff chunks the total as one half-chunk
+    // added twice; below it the total is one carried fold.
+    if (want_total)
+      f.total = detail::chunked(2 * dim) ? folds[0] + folds[0]
+                                         : k.prep_total_fold(x, dim, s);
+    return f;
+  }
   const std::uint64_t nc = dim / kChunkAmps;
-  const std::uint64_t pm_lo = pmask & (kChunkAmps - 1);
-  const std::uint64_t pm_hi = pmask & ~(kChunkAmps - 1);
+  auto& p = detail::parts<R>();
+  p.resize(3 * nc);
+  R* xp = p.data();
+  R* p0 = xp + nc;
+  R* p1 = p0 + nc;
+  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
+    R folds[3];
+    k.prep_fold(x, c * kChunkAmps, (c + 1) * kChunkAmps, pmask, e, s, folds);
+    xp[c] = folds[0];
+    p0[c] = folds[1];
+    p1[c] = folds[2];
+  });
+  f.proj[0] = detail::combine(p0, nc);
+  f.proj[1] = detail::combine(p1, nc);
+  if (want_total) {
+    R total = detail::combine(xp, nc);
+    for (std::uint64_t c = 0; c < nc; ++c) total += xp[c];
+    f.total = total;
+  }
+  return f;
+}
+
+/// The gadget write pass: out[i] = proj[i]·inv, folded.
+template <class R>
+R prep_write(const CollapseKernelsT<R>& k, const std::complex<R>* x,
+             std::complex<R>* out, std::uint64_t dim, std::uint64_t pmask,
+             std::complex<R> e0, std::complex<R> e1, R s, R inv,
+             int threads) {
+  if (!detail::chunked(dim))
+    return k.prep_write(x, out, 0, dim, pmask, e0, e1, s, inv);
+  const std::uint64_t nc = dim / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(nc);
   parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    const std::uint64_t i0 = c * kChunkAmps;
-    const std::complex<R> e1c = parity64(i0 & pm_hi) ? -e1 : e1;
-    p[c] = k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, s);
+    p[c] = k.prep_write(x, out, c * kChunkAmps, (c + 1) * kChunkAmps, pmask,
+                        e0, e1, s, inv);
   });
   return detail::combine(p.data(), nc);
 }
 
-/// Fused prep_cz_measure: total = prep_total_fold(x, n, s) and
-/// proj = prep_collapse(...), per chunk — each x block is read once for
-/// both folds.  The two results keep their independent chunk contracts
-/// (total chunks the doubled 2n array, proj chunks the n array), which
-/// meet at the same physical boundaries.
-template <class R>
-Folds2<R> prep_collapse_with_total(const CollapseKernelsT<R>& k,
-                                   const std::complex<R>* x,
-                                   std::complex<R>* out, std::uint64_t dim,
-                                   std::uint64_t pmask, std::complex<R> e0,
-                                   std::complex<R> e1, R s, int threads) {
-  if (!detail::chunked(2 * dim)) {
-    const R total = k.prep_total_fold(x, dim, s);
-    const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, s);
-    return {total, proj};
-  }
-  if (!detail::chunked(dim)) {
-    // 2·dim is exactly the cutoff: total is chunked (one half-chunk
-    // added twice), the projection is still one plain call.
-    const R half = k.fold_norms_scaled(x, dim, s);
-    const R proj = k.prep_collapse(x, out, dim, pmask, e0, e1, s);
-    return {half + half, proj};
-  }
-  const std::uint64_t nc = dim / kChunkAmps;
-  const std::uint64_t pm_lo = pmask & (kChunkAmps - 1);
-  const std::uint64_t pm_hi = pmask & ~(kChunkAmps - 1);
-  auto& p = detail::parts<R>();
-  p.resize(2 * nc);
-  R* x_parts = p.data();
-  R* proj_parts = p.data() + nc;
-  parallel_for_threads(static_cast<std::int64_t>(nc), threads, [&](auto c) {
-    const std::uint64_t i0 = c * kChunkAmps;
-    x_parts[c] = k.fold_norms_scaled(x + i0, kChunkAmps, s);
-    const std::complex<R> e1c = parity64(i0 & pm_hi) ? -e1 : e1;
-    proj_parts[c] =
-        k.prep_collapse(x + i0, out + i0, kChunkAmps, pm_lo, e0, e1c, s);
-  });
-  R total = x_parts[0];
-  for (std::uint64_t c = 1; c < nc; ++c) total += x_parts[c];
-  for (std::uint64_t c = 0; c < nc; ++c) total += x_parts[c];
-  return {total, detail::combine(proj_parts, nc)};
-}
-
 // --- fused prep+CZ+teleport+measure ------------------------------------------
+// The projection fills out[0, dim): pair-rank chunk c writes the lower
+// out chunk c and the upper out chunk nch + c, each folded with fresh
+// lanes; the partials combine left to right in out-chunk order, which
+// is fold_norms(out, dim) under its chunk contract.  Below the cutoff
+// the fold is one carried stream over out: the fold pass runs the
+// kernel's carry mode, the write pass folds out once it is written.
 
-/// teleport_collapse with the out fold fused into the projection pass
-/// (removes the full-vector out re-read the historical
-/// teleport_collapse + fold_norms(out) sequence performed).  Returns
-/// fold_norms(out, dim) under its chunk contract: each pair-rank chunk
-/// writes one lower and one upper out chunk and folds both in place;
-/// the partials land in out-chunk order and combine left to right.
+/// The teleport fold pass.  total (want_total) is prep_total_fold(x,
+/// dim, s): above the cutoff each rank chunk's kernel call also folds
+/// the two x chunks it reads (its src_folds).
 template <class R>
-R teleport_collapse_fold(const CollapseKernelsT<R>& k,
-                         const std::complex<R>* x, std::complex<R>* out,
-                         std::uint64_t dim, int q, std::uint64_t pmask,
-                         std::complex<R> e0, std::complex<R> e1, R s,
-                         int threads) {
+BornFolds<R> teleport_fold(const CollapseKernelsT<R>& k,
+                           const std::complex<R>* x, std::uint64_t dim, int q,
+                           std::uint64_t pmask, const std::complex<R>* e, R s,
+                           bool want_total, int threads) {
+  BornFolds<R> f{R(0), {R(0), R(0)}};
   if (!detail::chunked(dim)) {
-    k.teleport_collapse(x, out, dim, q, pmask, e0, e1, s);
-    return fold_norms(k, out, dim, threads);
+    if (want_total) f.total = prep_total_fold(k, x, dim, s, threads);
+    R folds[4];
+    k.teleport_fold(x, dim, q, pmask, e, s, 0, dim / 2, /*carry=*/true,
+                    folds, nullptr);
+    f.proj[0] = folds[0];
+    f.proj[1] = folds[2];
+    return f;
   }
   const std::uint64_t nch = (dim / 2) / kChunkAmps;  // chunks per half
+  const std::uint64_t nx = dim / kChunkAmps;         // x-fold chunks
+  auto& p = detail::parts<R>();
+  p.resize(4 * nch + nx);
+  R* p0 = p.data();      // outcome 0: lower chunks, then upper chunks
+  R* p1 = p0 + 2 * nch;  // outcome 1: likewise
+  R* xp = p1 + 2 * nch;
+  parallel_for_threads(static_cast<std::int64_t>(nch), threads, [&](auto c) {
+    const std::uint64_t r0 = c * kChunkAmps;
+    R folds[4], src[2];
+    k.teleport_fold(x, dim, q, pmask, e, s, r0, r0 + kChunkAmps,
+                    /*carry=*/false, folds, want_total ? src : nullptr);
+    p0[c] = folds[0];
+    p0[nch + c] = folds[1];
+    p1[c] = folds[2];
+    p1[nch + c] = folds[3];
+    if (want_total) {
+      int b = 0;
+      detail::for_pair_chunk_sources(r0, q,
+                                     [&](auto j, auto) { xp[j] = src[b++]; });
+    }
+  });
+  f.proj[0] = detail::combine(p0, 2 * nch);
+  f.proj[1] = detail::combine(p1, 2 * nch);
+  if (want_total) {
+    R total = detail::combine(xp, nx);
+    for (std::uint64_t c = 0; c < nx; ++c) total += xp[c];
+    f.total = total;
+  }
+  return f;
+}
+
+/// The teleport write pass: out = proj·inv in the final wire layout,
+/// returning fold_norms(out, dim) under the chunk contract.
+template <class R>
+R teleport_write(const CollapseKernelsT<R>& k, const std::complex<R>* x,
+                 std::complex<R>* out, std::uint64_t dim, int q,
+                 std::uint64_t pmask, std::complex<R> e0, std::complex<R> e1,
+                 R s, R inv, int threads) {
+  if (!detail::chunked(dim)) {
+    k.teleport_write(x, out, dim, q, pmask, e0, e1, s, inv, 0, dim / 2,
+                     nullptr);
+    return k.fold_norms(out, dim);
+  }
+  const std::uint64_t nch = (dim / 2) / kChunkAmps;
   auto& p = detail::parts<R>();
   p.resize(2 * nch);
   parallel_for_threads(static_cast<std::int64_t>(nch), threads, [&](auto c) {
     const std::uint64_t r0 = c * kChunkAmps;
-    k.teleport_collapse_range(x, out, dim, q, pmask, e0, e1, s, r0,
-                              r0 + kChunkAmps, &p[c], &p[nch + c]);
+    R folds[2];
+    k.teleport_write(x, out, dim, q, pmask, e0, e1, s, inv, r0,
+                     r0 + kChunkAmps, folds);
+    p[c] = folds[0];
+    p[nch + c] = folds[1];
   });
   return detail::combine(p.data(), 2 * nch);
 }

@@ -1,6 +1,7 @@
 #include "mbq/sim/dynamic_statevector.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "mbq/common/bits.h"
@@ -20,7 +21,37 @@ std::complex<R> to_c(cplx v) noexcept {
   return {static_cast<R>(v.real()), static_cast<R>(v.imag())};
 }
 
+/// The effects of both outcomes, as the projection kernels take them:
+/// outcome m's effect <b_m| = conj(column m)^T is the pair e[2m], e[2m+1].
+template <class R>
+std::array<std::complex<R>, 4> outcome_effects(const Matrix& basis) {
+  return {to_c<R>(std::conj(basis(0, 0))), to_c<R>(std::conj(basis(1, 0))),
+          to_c<R>(std::conj(basis(0, 1))), to_c<R>(std::conj(basis(1, 1)))};
+}
+
+/// 1/√nrm2, the factor the write pass scales the chosen projection by.
+template <class R>
+R inv_norm(R nrm2) noexcept {
+  return static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2)));
+}
+
 }  // namespace
+
+template <class R>
+int DynamicStatevector::choose_outcome(const thr::BornFolds<R>& f,
+                                       real total, Rng& rng, int forced,
+                                       int wire) const {
+  int outcome = forced;
+  if (forced == -1) {
+    total = std::norm(std::sqrt(total));
+    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
+    outcome = rng.bernoulli(static_cast<real>(f.proj[1]) / total) ? 1 : 0;
+  }
+  MBQ_REQUIRE(static_cast<real>(f.proj[outcome]) > kMinProjectionNorm2,
+              "forced outcome " << outcome << " on wire " << wire
+                                << " has zero probability");
+  return outcome;
+}
 
 Matrix measurement_basis(MeasBasis basis, real angle) {
   switch (basis) {
@@ -361,45 +392,23 @@ int DynamicStatevector::prep_cz_measure_impl(std::uint64_t partner_pos_mask,
                                              const Matrix& basis, Rng& rng,
                                              int forced, int wire) {
   auto& a = amps<R>();
-  auto& sc = scratch<R>();
   const std::uint64_t dim = a.size();
-  sc.resize(dim);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = thr::kernel_threads();
+  const auto e = outcome_effects<R>(basis);
 
-  int outcome;
-  R nrm2 = R(0);
-  if (forced == -1) {
-    // Fused blocked pass: the Born denominator (the doubled register's
-    // canonical fold) and the outcome-1 projection are computed chunk by
-    // chunk from ONE read of the register instead of two streamed
-    // passes — the cache-blocking win at large dim.
-    const auto f = thr::prep_collapse_with_total(
-        kn, a.data(), sc.data(), dim, partner_pos_mask,
-        to_c<R>(std::conj(basis(0, 1))), to_c<R>(std::conj(basis(1, 1))), s,
-        threads);
-    const real total =
-        std::norm(std::sqrt(static_cast<real>(f.total)));
-    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    outcome = rng.bernoulli(static_cast<real>(f.proj) / total) ? 1 : 0;
-    nrm2 = f.proj;  // outcome 1: the projections are already in scratch
-  } else {
-    outcome = forced;
-  }
-  if (outcome != 1 || forced != -1) {
-    nrm2 = thr::prep_collapse(kn, a.data(), sc.data(), dim, partner_pos_mask,
-                              to_c<R>(std::conj(basis(0, outcome))),
-                              to_c<R>(std::conj(basis(1, outcome))), s,
-                              threads);
-  }
-  MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
-              "forced outcome " << outcome << " on wire " << wire
-                                << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), dim,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
-  std::swap(a, sc);
+  // Sweep 1 reads the register once: the Born denominator (the doubled
+  // register's canonical fold) and both outcomes' projection folds.
+  // Sweep 2 writes the chosen projection, already normalized, over the
+  // register itself (each amplitude depends on its own index only).
+  const auto f = thr::prep_fold(kn, a.data(), dim, partner_pos_mask, e.data(),
+                                s, forced == -1, threads);
+  const int outcome =
+      choose_outcome(f, static_cast<real>(f.total), rng, forced, wire);
+  fold_ = static_cast<real>(thr::prep_write(
+      kn, a.data(), a.data(), dim, partner_pos_mask, e[2 * outcome],
+      e[2 * outcome + 1], s, inv_norm(f.proj[outcome]), threads));
   fold_valid_ = true;
   return outcome;
 }
@@ -417,12 +426,14 @@ int DynamicStatevector::prep_cz_measure(int wire,
   // fused CZ partners.  Probabilities, projections and the collapsed
   // state all derive from that relation, so the register never doubles
   // — the whole N;E...;M gadget block runs at the SMALL dimension.
+  const int outcome =
+      prec_ == Precision::F64
+          ? prep_cz_measure_impl<double>(partner_pos_mask, basis, rng, forced,
+                                         wire)
+          : prep_cz_measure_impl<float>(partner_pos_mask, basis, rng, forced,
+                                        wire);
   peak_live_ = std::max(peak_live_, num_live() + 1);
-  return prec_ == Precision::F64
-             ? prep_cz_measure_impl<double>(partner_pos_mask, basis, rng,
-                                            forced, wire)
-             : prep_cz_measure_impl<float>(partner_pos_mask, basis, rng,
-                                           forced, wire);
+  return outcome;
 }
 
 template <class R>
@@ -433,42 +444,27 @@ int DynamicStatevector::teleport_measure_impl(std::uint64_t partner_pos_mask,
   auto& a = amps<R>();
   auto& sc = scratch<R>();
   const std::uint64_t dim = a.size();
-  sc.resize(dim);
   const R s = static_cast<R>(1.0 / std::sqrt(2.0));
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = thr::kernel_threads();
+  const auto e = outcome_effects<R>(basis);
 
-  // Projection fold fused into the collapse pass (the chunked driver
-  // folds each out block as it is written instead of re-reading the
-  // whole vector afterwards).
-  const auto project = [&](int m) {
-    return thr::teleport_collapse_fold(kn, a.data(), sc.data(), dim, q,
-                                       partner_pos_mask,
-                                       to_c<R>(std::conj(basis(0, m))),
-                                       to_c<R>(std::conj(basis(1, m))), s,
-                                       threads);
-  };
-
-  int outcome;
-  R nrm2 = R(0);
-  if (forced == -1) {
-    const real total = std::norm(std::sqrt(static_cast<real>(
-        thr::prep_total_fold(kn, a.data(), dim, s, threads))));
-    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    const R p1 = project(1);
-    outcome = rng.bernoulli(static_cast<real>(p1) / total) ? 1 : 0;
-    nrm2 = p1;
-  } else {
-    outcome = forced;
-  }
-  if (outcome != 1 || forced != -1) nrm2 = project(outcome);
-  MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
-              "forced outcome " << outcome << " on wire " << meas_wire
-                                << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), dim,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
-  std::swap(a, sc);
+  // Sweep 1: Born total and both outcomes' projection folds, read-only.
+  // Sweep 2: the chosen projection, normalized, in the final layout —
+  // over the register itself when the measured wire is the top bit
+  // (pair r then reads and writes indices r and dim/2 + r only), else
+  // into scratch, which swaps with amps.
+  const auto f = thr::teleport_fold(kn, a.data(), dim, q, partner_pos_mask,
+                                    e.data(), s, forced == -1, threads);
+  const int outcome =
+      choose_outcome(f, static_cast<real>(f.total), rng, forced, meas_wire);
+  const bool in_place = (std::uint64_t{1} << q) == dim / 2;
+  if (!in_place) sc.resize(dim);
+  fold_ = static_cast<real>(thr::teleport_write(
+      kn, a.data(), in_place ? a.data() : sc.data(), dim, q, partner_pos_mask,
+      e[2 * outcome], e[2 * outcome + 1], s, inv_norm(f.proj[outcome]),
+      threads));
+  if (!in_place) std::swap(a, sc);
   fold_valid_ = true;
   return outcome;
 }
@@ -489,13 +485,13 @@ int DynamicStatevector::prep_cz_teleport_measure(int new_wire,
   // indexed by the measurement pair rank IS the final wire layout (meas
   // gone, new_wire on top), so one kernel pass writes the result in
   // place of three passes over a doubled arena.
-  peak_live_ = std::max(peak_live_, num_live() + 1);
   const int outcome =
       prec_ == Precision::F64
           ? teleport_measure_impl<double>(partner_pos_mask, q, basis, rng,
                                           forced, meas_wire)
           : teleport_measure_impl<float>(partner_pos_mask, q, basis, rng,
                                          forced, meas_wire);
+  peak_live_ = std::max(peak_live_, num_live() + 1);
 
   // Bookkeeping exactly as add-then-measure would leave it: meas_wire's
   // position vanishes, higher wires shift down, new_wire lands on top.
@@ -542,56 +538,37 @@ int DynamicStatevector::measure_remove_impl(int q, const Matrix& basis,
   auto& a = amps<R>();
   auto& sc = scratch<R>();
   const std::uint64_t pairs = a.size() / 2;
-  sc.resize(pairs);
   const CollapseKernelsT<R>& kn = kernels_t<R>();
   const int threads = thr::kernel_threads();
+  const auto e = outcome_effects<R>(basis);
 
-  // Collapsed projections land in scratch, which then SWAPS with amps:
-  // the two buffers ping-pong across calls, so a reused simulator never
-  // reallocates.  The sampled path fuses the outcome-1 probability fold
-  // into its collapse pass; when the running fold is stale it fuses the
-  // denominator fold in as well (collapse_pairs_with_total), reading
-  // each source block once.  Every fold is canonical, keeping outcomes
-  // and amplitudes bit-identical across ISAs, thread counts and the
-  // fold-reuse fast path.
-  int outcome;
-  R nrm2 = R(0);
-  if (forced == -1) {
-    real total;
-    R p1;
-    if (fold_valid_) {
-      // A valid fold (maintained under the global chunk contract) is
-      // bitwise the same sum a fresh driver pass computes.
-      total = fold_;
-      p1 = thr::collapse_pairs(kn, a.data(), sc.data(), pairs, q,
-                               to_c<R>(std::conj(basis(0, 1))),
-                               to_c<R>(std::conj(basis(1, 1))), threads);
-    } else {
-      const auto f = thr::collapse_pairs_with_total(
-          kn, a.data(), sc.data(), pairs, q, to_c<R>(std::conj(basis(0, 1))),
-          to_c<R>(std::conj(basis(1, 1))), threads);
-      total = static_cast<real>(f.total);
-      p1 = f.proj;
-    }
-    total = std::norm(std::sqrt(total));
-    MBQ_REQUIRE(total > kMinBornNorm2, "zero state");
-    outcome = rng.bernoulli(static_cast<real>(p1) / total) ? 1 : 0;
-    nrm2 = p1;  // outcome 1: the projections are already in scratch
-  } else {
-    outcome = forced;
-  }
-  if (outcome != 1 || forced != -1) {
-    nrm2 = thr::collapse_pairs(kn, a.data(), sc.data(), pairs, q,
-                               to_c<R>(std::conj(basis(0, outcome))),
-                               to_c<R>(std::conj(basis(1, outcome))), threads);
-  }
-  MBQ_REQUIRE(static_cast<real>(nrm2) > kMinProjectionNorm2,
-              "forced outcome " << outcome << " on wire " << wire
-                                << " has zero probability");
-  fold_ = static_cast<real>(thr::scale_fold(
-      kn, sc.data(), pairs,
-      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), threads));
-  std::swap(a, sc);
+  // Sweep 1 folds both outcomes' projections read-only; a sampled
+  // measure also needs the Born denominator, which a valid running fold
+  // (maintained under the global chunk contract, so bitwise the sum a
+  // fresh pass computes) supplies for free — otherwise sweep 1 folds it
+  // too, from the same source blocks.  Sweep 2 writes the chosen
+  // projection, normalized: over the register's lower half when the
+  // measured wire is the top bit (pair k reads k and k + pairs, writes
+  // k), else to scratch, which then SWAPS with amps — the two buffers
+  // ping-pong across calls, so a reused simulator never reallocates.
+  // Every fold is canonical, keeping outcomes and amplitudes
+  // bit-identical across ISAs, thread counts and the fold-reuse fast
+  // path.
+  const bool sampled = forced == -1;
+  const auto f = thr::pairs_fold(kn, a.data(), pairs, q, e.data(),
+                                 sampled && !fold_valid_, threads);
+  const real total = fold_valid_ ? fold_ : static_cast<real>(f.total);
+  const int outcome = choose_outcome(f, total, rng, forced, wire);
+  const bool in_place = (std::uint64_t{1} << q) == pairs;
+  if (!in_place) sc.resize(pairs);
+  fold_ = static_cast<real>(thr::pairs_write(
+      kn, a.data(), in_place ? a.data() : sc.data(), pairs, q,
+      e[2 * outcome], e[2 * outcome + 1], inv_norm(f.proj[outcome]),
+      threads));
+  if (in_place)
+    a.resize(pairs);
+  else
+    std::swap(a, sc);
   fold_valid_ = true;
   return outcome;
 }

@@ -19,6 +19,16 @@
 // ISAs AND across thread counts, so neither choice leaks into outcome
 // streams.
 //
+// Every measurement (measure_remove and the fused gadget and teleport
+// below) is two sweeps: a read-only fold pass folds the Born
+// denominator, when it is needed, and both outcomes' projections; after
+// the draw, a write pass stores the chosen projection already
+// normalized — over the register itself where each output index is one
+// the same step reads (the gadget; a measured wire at the top bit),
+// else into the scratch buffer, which then swaps with the register.
+// The arena grows without zero-filling (UninitAllocator): every growth
+// path writes each new amplitude before anything reads it.
+//
 // The element type is chosen at construction (Precision::F64 default,
 // Precision::F32 optional): f32 halves the memory traffic per amplitude
 // — roughly one extra qubit of reach at a given footprint — and is
@@ -26,7 +36,10 @@
 // streams are NOT bit-comparable to f64's (see common/types.h).
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mbq/common/rng.h"
@@ -34,6 +47,35 @@
 #include "mbq/linalg/dense.h"
 
 namespace mbq {
+
+namespace thr {
+template <class R>
+struct BornFolds;
+}  // namespace thr
+
+/// std::allocator whose value-less construct() leaves the element
+/// uninitialized, so growing a vector (resize) does not zero-fill
+/// storage a kernel is about to overwrite.  Only for implicit-lifetime
+/// element types (trivially copyable and destructible, like
+/// std::complex), whose objects allocation itself creates.
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() noexcept = default;
+  template <class U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <class U>
+  void construct(U*) noexcept {}
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Single-qubit measurement bases used by patterns.
 enum class MeasBasis : std::uint8_t { Z, X, XY, YZ };
@@ -68,9 +110,9 @@ class DynamicStatevector {
 
   explicit DynamicStatevector(Precision p = Precision::F64) : prec_(p) {
     if (prec_ == Precision::F64)
-      amps_ = {cplx{1.0, 0.0}};
+      amps_.push_back(cplx{1.0, 0.0});
     else
-      amps32_ = {cplxf{1.0f, 0.0f}};
+      amps32_.push_back(cplxf{1.0f, 0.0f});
   }
 
   /// Element type of the amplitude storage, fixed at construction.
@@ -133,11 +175,14 @@ class DynamicStatevector {
 
   /// Measure `wire` in the given basis and REMOVE it from the register.
   /// forced in {-1 (sample from Born rule), 0, 1}.  Returns the outcome.
+  /// A forced outcome of (numerically) zero probability throws, before
+  /// the write pass, leaving the register untouched.
   int measure_remove(int wire, const Matrix& basis, Rng& rng, int forced = -1);
 
   // --- fused kernels for the compiled pattern executor -----------------
   // Each replaces a sequence of the primitive operations above with one
-  // amplitude pass, producing bit-identical amplitudes and outcome
+  // amplitude pass (two for the measuring ones), producing bit-identical
+  // amplitudes and outcome
   // streams (everything they fuse is a scale, a sign flip, an index swap
   // or a sum evaluated in the canonical kernel order).  They also
   // maintain the running norm fold (see fold_ below), which lets the
@@ -165,8 +210,9 @@ class DynamicStatevector {
   /// `basis` — without ever materializing the doubled register.  The
   /// upper amplitude half is ±(scaled lower half), so probabilities,
   /// projections and the collapsed state are computed straight from the
-  /// untouched register: the whole N;E...;M block costs ~3 passes at the
-  /// SMALL dimension.  Contract matches measure_remove.
+  /// untouched register: the whole N;E...;M block is one fold pass and
+  /// one in-place write pass at the SMALL dimension.  Contract matches
+  /// measure_remove.
   int prep_cz_measure(int wire, std::uint64_t partner_pos_mask,
                       const Matrix& basis, Rng& rng, int forced = -1);
 
@@ -174,8 +220,8 @@ class DynamicStatevector {
   /// the top position, CZ it against partner_pos_mask, then measure
   /// `meas_wire` (a DIFFERENT, live wire) in `basis`.  Again the doubled
   /// register never exists — the virtual upper half is ±(scaled lower
-  /// half), so the collapse reads the untouched register directly and
-  /// writes the final (same-sized) state in one pass.  After the call
+  /// half), so the fold pass reads the untouched register directly and
+  /// the write pass writes the final (same-sized) state.  After the call
   /// `meas_wire` is gone and `new_wire` is live at the top position,
   /// exactly as the sequential chain would leave them.
   int prep_cz_teleport_measure(int new_wire, std::uint64_t partner_pos_mask,
@@ -228,26 +274,32 @@ class DynamicStatevector {
   int position(int wire) const;
   void set_position(int wire, int p);
 
+  /// Amplitude storage: grows without zero-filling (every growth path
+  /// writes each new amplitude before anything reads it).
+  template <class R>
+  using Arena =
+      std::vector<std::complex<R>, UninitAllocator<std::complex<R>>>;
+
   /// Active amplitude / scratch storage for element type R.  The class
   /// is runtime-polymorphic over precision (one enum member, two buffer
   /// pairs — only the pair matching prec_ is ever non-empty); the hot
   /// paths are member templates in the .cpp dispatched through these.
   template <class R>
-  std::vector<std::complex<R>>& amps() noexcept {
+  Arena<R>& amps() noexcept {
     if constexpr (std::is_same_v<R, double>)
       return amps_;
     else
       return amps32_;
   }
   template <class R>
-  const std::vector<std::complex<R>>& amps() const noexcept {
+  const Arena<R>& amps() const noexcept {
     if constexpr (std::is_same_v<R, double>)
       return amps_;
     else
       return amps32_;
   }
   template <class R>
-  std::vector<std::complex<R>>& scratch() noexcept {
+  Arena<R>& scratch() noexcept {
     if constexpr (std::is_same_v<R, double>)
       return scratch_;
     else
@@ -283,6 +335,13 @@ class DynamicStatevector {
   int teleport_measure_impl(std::uint64_t partner_pos_mask, int q,
                             const Matrix& basis, Rng& rng, int forced,
                             int meas_wire);
+  /// The outcome of a measurement whose fold pass returned f: drawn
+  /// from the Born rule against `total` when forced == -1, else forced;
+  /// throws if that outcome's projection is (numerically) zero — before
+  /// the write pass touches anything.
+  template <class R>
+  int choose_outcome(const thr::BornFolds<R>& f, real total, Rng& rng,
+                     int forced, int wire) const;
   template <class R>
   real prob_one_impl(int q, const Matrix& basis) const;
   template <class R>
@@ -298,10 +357,10 @@ class DynamicStatevector {
   void normalize_impl();
 
   Precision prec_ = Precision::F64;
-  std::vector<cplx> amps_;
-  std::vector<cplx> scratch_;  // measure_remove ping-pong buffer
-  std::vector<cplxf> amps32_;    // f32 storage (prec_ == F32 only)
-  std::vector<cplxf> scratch32_;
+  Arena<double> amps_;
+  Arena<double> scratch_;  // measurement write-pass ping-pong buffer
+  Arena<float> amps32_;    // f32 storage (prec_ == F32 only)
+  Arena<float> scratch32_;
   std::vector<int> order_;     // wire id per bit position
   // wire id -> bit position, -1 = not live.  A flat vector instead of a
   // hash map: position() is on every kernel's setup path, and map node

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <vector>
@@ -426,6 +427,54 @@ TEST(CompiledPattern, ThreadLocalExecutorKeepsArenaAcrossAnglePoints) {
               fresh.run_sample(b).x);
     EXPECT_EQ(thread_local_executor(points[k]).last_outcomes(),
               fresh.last_outcomes());
+  }
+}
+
+TEST(CompiledPattern, RebindOverAStaleArenaMatchesAFreshExecutor) {
+  // The arena grows without zero-filling, so after a shot of another
+  // pattern it holds that shot's amplitudes.  A rebound executor's next
+  // shot must still equal a fresh executor's: outcomes and every bit of
+  // the output state, in both precisions, on registers below and above
+  // the chunk cutoff, at one and two kernel threads.
+  struct ThreadGuard {
+    int saved = thr::kernel_threads();
+    ~ThreadGuard() { thr::set_kernel_threads(saved); }
+  } guard;
+  for (int n : {8, 14}) {
+    Rng graph_rng(static_cast<std::uint64_t>(n));
+    const auto cost =
+        qaoa::CostHamiltonian::maxcut(random_regular_graph(n, 3, graph_rng));
+    const auto a = std::make_shared<const CompiledPattern>(
+        core::compile_qaoa(cost, qaoa::Angles({0.3}, {0.9})).pattern);
+    const auto b = std::make_shared<const CompiledPattern>(
+        core::compile_qaoa(cost, qaoa::Angles({0.7}, {0.2})).pattern);
+    ASSERT_EQ(a->peak_live(), b->peak_live());
+    for (Precision prec : {Precision::F64, Precision::F32}) {
+      for (int t : {1, 2}) {
+        thr::set_kernel_threads(t);
+        ExecOptions options;
+        options.precision = prec;
+        PatternExecutor reused(a, options);
+        Rng warm(5);
+        reused.run(warm);  // leaves pattern a's amplitudes in the arena
+        reused.rebind(b);
+        PatternExecutor fresh(b, options);
+        for (std::uint64_t seed : {41u, 42u}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " " +
+                       precision_name(prec) + " threads=" +
+                       std::to_string(t) + " seed=" + std::to_string(seed));
+          Rng r1(seed), r2(seed);
+          const RunResult got = reused.run(r1);
+          const RunResult want = fresh.run(r2);
+          EXPECT_EQ(got.outcomes, want.outcomes);
+          ASSERT_EQ(got.output_state.size(), want.output_state.size());
+          EXPECT_EQ(std::memcmp(got.output_state.data(),
+                                want.output_state.data(),
+                                want.output_state.size() * sizeof(cplx)),
+                    0);
+        }
+      }
+    }
   }
 }
 

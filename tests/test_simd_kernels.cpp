@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "mbq/common/bits.h"
 #include "mbq/common/cpu.h"
 #include "mbq/common/error.h"
 #include "mbq/common/rng.h"
@@ -132,22 +133,42 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
       const std::uint64_t pmask = rng.uniform_index(dim);
       const double sc = rng.uniform() + 0.25;
 
+      const cplx effs[4] = {e0, e1, e1, random_eff(rng, rng.uniform_index(3))};
+      const double inv = rng.uniform() + 0.5;
+      double fa[4], fb[4];
+      s.pairs_fold(x.data(), dim / 2, q, effs, fa);
+      k.pairs_fold(x.data(), dim / 2, q, effs, fb);
+      EXPECT_PRED2(same_fold, fa[0], fb[0]);
+      EXPECT_PRED2(same_fold, fa[1], fb[1]);
       std::vector<cplx> oa(dim / 2), ob(dim / 2);
-      EXPECT_PRED2(same_fold,
-                   s.collapse_pairs(x.data(), oa.data(), dim / 2, q, e0, e1),
-                   k.collapse_pairs(x.data(), ob.data(), dim / 2, q, e0, e1));
+      EXPECT_PRED2(
+          same_fold,
+          s.pairs_write(x.data(), oa.data(), dim / 2, q, e0, e1, inv),
+          k.pairs_write(x.data(), ob.data(), dim / 2, q, e0, e1, inv));
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
+      s.prep_fold(x.data(), 0, dim, pmask, effs, sc, fa);
+      k.prep_fold(x.data(), 0, dim, pmask, effs, sc, fb);
+      for (int j = 0; j < 3; ++j) EXPECT_PRED2(same_fold, fa[j], fb[j]);
       oa.assign(dim, cplx{});
       ob.assign(dim, cplx{});
       EXPECT_PRED2(
           same_fold,
-          s.prep_collapse(x.data(), oa.data(), dim, pmask, e0, e1, sc),
-          k.prep_collapse(x.data(), ob.data(), dim, pmask, e0, e1, sc));
+          s.prep_write(x.data(), oa.data(), 0, dim, pmask, e0, e1, sc, inv),
+          k.prep_write(x.data(), ob.data(), 0, dim, pmask, e0, e1, sc, inv));
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
-      s.teleport_collapse(x.data(), oa.data(), dim, q, pmask, e0, e1, sc);
-      k.teleport_collapse(x.data(), ob.data(), dim, q, pmask, e0, e1, sc);
+      s.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fa,
+                      nullptr);
+      k.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fb,
+                      nullptr);
+      for (int j = 0; j < 4; ++j) EXPECT_PRED2(same_fold, fa[j], fb[j]);
+      s.teleport_write(x.data(), oa.data(), dim, q, pmask, e0, e1, sc, inv, 0,
+                       dim / 2, fa);
+      k.teleport_write(x.data(), ob.data(), dim, q, pmask, e0, e1, sc, inv, 0,
+                       dim / 2, fb);
+      EXPECT_PRED2(same_fold, fa[0], fb[0]);
+      EXPECT_PRED2(same_fold, fa[1], fb[1]);
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
       auto ga = x, gb = x;
@@ -341,30 +362,65 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
       const std::uint64_t pmask =
           rng.uniform_index(dim) & ~((std::uint64_t{2} << q) - 1);
 
-      // teleport_collapse_range: identical slice writes and STORED folds.
+      // Teleport rank slices: identical slice writes and STORED folds
+      // (fold pass and write pass, fresh lanes per half).
       const std::uint64_t r0 = rng.uniform_index(ranks);
       const std::uint64_t r1 = r0 + 1 + rng.uniform_index(ranks - r0);
+      const cplx e[4] = {e0, e1, e1, e0};
+      const double inv = rng.uniform() + 0.5;
+      double fa[4] = {0, 0, 0, 0}, fb[4] = {1, 1, 1, 1};  // must be stored
+      s.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fa,
+                      nullptr);
+      k.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fb,
+                      nullptr);
+      for (int j = 0; j < 4; ++j) EXPECT_PRED2(same_fold, fa[j], fb[j]);
+      // Source-block folds of a power-of-two slice: equal to scalar's and
+      // to fold_norms_scaled over the blocks the slice reads.
+      const std::uint64_t len = std::uint64_t{1} << rng.uniform_index(nq);
+      const std::uint64_t rb = len * rng.uniform_index(ranks / len);
+      double sa[2], sb[2] = {-1, -1};
+      s.teleport_fold(x.data(), dim, q, pmask, e, sc, rb, rb + len, false, fa,
+                      sa);
+      k.teleport_fold(x.data(), dim, q, pmask, e, sc, rb, rb + len, false, fb,
+                      sb);
+      EXPECT_PRED2(same_fold, sa[0], sb[0]);
+      EXPECT_PRED2(same_fold, sa[1], sb[1]);
+      const std::uint64_t blk =
+          (std::uint64_t{1} << q) >= len ? insert_zero_bit(rb, q) : 2 * rb;
+      const std::uint64_t blk2 =
+          (std::uint64_t{1} << q) >= len ? blk + (std::uint64_t{1} << q)
+                                         : blk + len;
+      EXPECT_PRED2(same_fold, sa[0], s.fold_norms_scaled(x.data() + blk, len, sc));
+      EXPECT_PRED2(same_fold, sa[1],
+                   s.fold_norms_scaled(x.data() + blk2, len, sc));
       auto oa = random_amps(rng, dim);
       auto ob = oa;
-      double la = 0, ha = 0, lb = 1, hb = 1;  // differing seeds: must be stored
-      s.teleport_collapse_range(x.data(), oa.data(), dim, q, pmask, e0, e1,
-                                sc, r0, r1, &la, &ha);
-      k.teleport_collapse_range(x.data(), ob.data(), dim, q, pmask, e0, e1,
-                                sc, r0, r1, &lb, &hb);
+      s.teleport_write(x.data(), oa.data(), dim, q, pmask, e0, e1, sc, inv, r0,
+                       r1, fa);
+      k.teleport_write(x.data(), ob.data(), dim, q, pmask, e0, e1, sc, inv, r0,
+                       r1, fb);
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
-      EXPECT_PRED2(same_fold, la, lb);
-      EXPECT_PRED2(same_fold, ha, hb);
+      EXPECT_PRED2(same_fold, fa[0], fb[0]);
+      EXPECT_PRED2(same_fold, fa[1], fb[1]);
 
-      // Scalar consistency: two covering slices == the full pass.
+      // Scalar consistency: two covering slices == the full pass, and
+      // the write pass's slice folds equal the fold pass's for the same
+      // outcome at inv = 1.
       std::vector<cplx> full(dim), sliced(dim);
-      s.teleport_collapse(x.data(), full.data(), dim, q, pmask, e0, e1, sc);
+      double ff[2];
+      s.teleport_write(x.data(), full.data(), dim, q, pmask, e0, e1, sc, 1.0,
+                       0, ranks, ff);
       const std::uint64_t mid = ranks / 2;
-      double f0, f1, f2, f3;
-      s.teleport_collapse_range(x.data(), sliced.data(), dim, q, pmask, e0,
-                                e1, sc, 0, mid, &f0, &f1);
-      s.teleport_collapse_range(x.data(), sliced.data(), dim, q, pmask, e0,
-                                e1, sc, mid, ranks, &f2, &f3);
+      double w0[2], w1[2], g0[4];
+      s.teleport_write(x.data(), sliced.data(), dim, q, pmask, e0, e1, sc, 1.0,
+                       0, mid, w0);
+      s.teleport_write(x.data(), sliced.data(), dim, q, pmask, e0, e1, sc, 1.0,
+                       mid, ranks, w1);
       EXPECT_TRUE(buffers_bit_equal(full, sliced));
+      s.teleport_fold(x.data(), dim, q, pmask, e, sc, 0, mid, false, g0,
+                      nullptr);
+      EXPECT_PRED2(same_fold, w0[0], g0[0]);
+      EXPECT_PRED2(same_fold, w0[1], g0[1]);
 
       // mirror_cz_range (upper half of add_plus_cz, lower half already
       // scaled by the caller).
@@ -468,24 +524,29 @@ TEST(SimdKernels, ChunkedDriversBitIdenticalAcrossThreadCounts) {
     r.amps.insert(r.amps.end(), sca.begin(), sca.end());
 
     std::vector<cplx> out(dim);
-    for (int q : {0, 13, 14}) {
-      const auto f = thr::collapse_pairs_with_total(k, x.data(), out.data(),
-                                                    dim, q, e0, e1, t);
+    const cplx e[4] = {e0, e1, e1, e0};
+    auto push_born = [&](const thr::BornFolds<double>& f) {
       r.folds.push_back(f.total);
-      r.folds.push_back(f.proj);
+      r.folds.push_back(f.proj[0]);
+      r.folds.push_back(f.proj[1]);
+    };
+    for (int q : {0, 13, 14}) {
+      push_born(thr::pairs_fold(k, x.data(), dim, q, e, true, t));
+      r.folds.push_back(
+          thr::pairs_write(k, x.data(), out.data(), dim, q, e0, e1, 1.25, t));
       r.amps.insert(r.amps.end(), out.begin(), out.end());
     }
 
-    const auto fp = thr::prep_collapse_with_total(k, x.data(), out.data(),
-                                                  dim, pmask, e0, e1, sc, t);
-    r.folds.push_back(fp.total);
-    r.folds.push_back(fp.proj);
+    push_born(thr::prep_fold(k, x.data(), dim, pmask, e, sc, true, t));
+    r.folds.push_back(thr::prep_write(k, x.data(), out.data(), dim, pmask, e0,
+                                      e1, sc, 1.25, t));
     r.amps.insert(r.amps.end(), out.begin(), out.end());
 
     for (int q : {2, 13}) {
       const std::uint64_t tp = pmask & ~((std::uint64_t{2} << q) - 1);
-      r.folds.push_back(thr::teleport_collapse_fold(
-          k, x.data(), out.data(), dim, q, tp, e0, e1, sc, t));
+      push_born(thr::teleport_fold(k, x.data(), dim, q, tp, e, sc, true, t));
+      r.folds.push_back(thr::teleport_write(k, x.data(), out.data(), dim, q,
+                                            tp, e0, e1, sc, 1.25, t));
       r.amps.insert(r.amps.end(), out.begin(), out.end());
     }
 
@@ -672,6 +733,317 @@ TEST(SimdKernels, GoldenOutcomeDigestIsPinned) {
       for (int o : exec.last_outcomes()) mix(static_cast<std::uint64_t>(o));
     }
     EXPECT_EQ(h, kGoldenDigest) << isa_name(isa);
+  }
+}
+
+// The f32 twin of the golden pin: the same pattern, seed and digest
+// construction on a Precision::F32 arena.  Its readouts and outcomes
+// coincide with the f64 stream here (f32 rounding moves the Born
+// probabilities by ~1e-7, which flips no draw of these 16 shots), so it
+// pins the same constant; the amplitude digests below tell the two
+// precisions apart.
+TEST(SimdKernels, GoldenOutcomeDigestIsPinnedF32) {
+  constexpr std::uint64_t kGoldenDigest = 0x66adf579a0fbfca9ULL;
+  IsaGuard guard;
+  Rng graph_rng(16);
+  const auto cost =
+      qaoa::CostHamiltonian::maxcut(random_regular_graph(16, 3, graph_rng));
+  const auto compiled = std::make_shared<const mbqc::CompiledPattern>(
+      core::compile_qaoa(cost, qaoa::Angles({0.4}, {0.7})).pattern);
+  mbqc::ExecOptions options;
+  options.precision = Precision::F32;
+  for (SimdIsa isa : supported_simd_isas()) {
+    force_simd_isa(isa);
+    mbqc::PatternExecutor exec(compiled, options);
+    Rng rng(2024);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xFF;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (int shot = 0; shot < 16; ++shot) {
+      mix(exec.run_sample(rng).x);
+      for (int o : exec.last_outcomes()) mix(static_cast<std::uint64_t>(o));
+    }
+    EXPECT_EQ(h, kGoldenDigest) << isa_name(isa);
+  }
+}
+
+// Golden pins on final AMPLITUDE bits, per precision: FNV-1a over the
+// outcomes and the output-state bits (re and im of each amplitude,
+// widened exactly from f32) of four run() shots of the golden pattern,
+// at kernel thread counts 1 and 2 under every flavor.  The outcome
+// digests above only see discrete draws; these see every ulp of the
+// normalized projections the measurement write passes store.  Both
+// constants are what the library produced before the measurements
+// became fold-then-write passes.
+TEST(SimdKernels, GoldenAmplitudeDigestsArePinned) {
+  IsaGuard isa_guard;
+  ThreadGuard thread_guard;
+  Rng graph_rng(16);
+  const auto cost =
+      qaoa::CostHamiltonian::maxcut(random_regular_graph(16, 3, graph_rng));
+  const auto compiled = std::make_shared<const mbqc::CompiledPattern>(
+      core::compile_qaoa(cost, qaoa::Angles({0.4}, {0.7})).pattern);
+  for (const auto& [prec, golden] :
+       {std::pair{Precision::F64, 0xc9ad822add5e2471ULL},
+        std::pair{Precision::F32, 0xa5c3e638a453735dULL}}) {
+    mbqc::ExecOptions options;
+    options.precision = prec;
+    for (SimdIsa isa : supported_simd_isas()) {
+      force_simd_isa(isa);
+      for (int t : {1, 2}) {
+        thr::set_kernel_threads(t);
+        mbqc::PatternExecutor exec(compiled, options);
+        Rng rng(2024);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        auto mix = [&](std::uint64_t v) {
+          for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xFF;
+            h *= 0x100000001b3ULL;
+          }
+        };
+        for (int shot = 0; shot < 4; ++shot) {
+          const mbqc::RunResult r = exec.run(rng);
+          for (int o : r.outcomes) mix(static_cast<std::uint64_t>(o));
+          for (const cplx& a : r.output_state) {
+            mix(bits(a.real()));
+            mix(bits(a.imag()));
+          }
+        }
+        EXPECT_EQ(h, golden) << precision_name(prec) << " " << isa_name(isa)
+                             << " threads=" << t;
+      }
+    }
+  }
+}
+
+// --- two-sweep measurements against the historical sequence -----------
+// Until the measurements became a read-only fold pass plus one
+// normalized write pass, each one ran: collapse the outcome-1
+// projection into scratch (folding it), draw, collapse again on
+// outcome 0, then scale_fold the result.  The oracle below rebuilds that
+// sequence from scalar pieces — plain projection loops, the scalar
+// thr::fold_norms / prep_total_fold / scale_fold drivers — and every
+// flavor × kernel-thread count must reproduce its outcome, amplitudes
+// and running fold bit-for-bit, in both precisions, sampled and forced,
+// below and above the chunk cutoff.
+
+enum class MeasOp { MeasureValidFold, MeasureStaleFold, Gadget, Teleport };
+
+struct Oracle {
+  int outcome;
+  std::vector<cplx> amps;  // the register afterwards, in position order
+  double fold;
+};
+
+/// The historical collapse + redo + scale_fold sequence on a register
+/// x (position order) of element type R.
+template <class R>
+Oracle historical_measure(MeasOp op, const std::vector<cplx>& x64, int q,
+                          std::uint64_t pmask, const Matrix& basis,
+                          double running_fold, std::uint64_t seed,
+                          int forced) {
+  using C = std::complex<R>;
+  const CollapseKernelsT<R>& k = scalar_kernels_t<R>();
+  std::vector<C> x(x64.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = C(static_cast<R>(x64[i].real()), static_cast<R>(x64[i].imag()));
+  const std::uint64_t dim = x.size();
+  const R s = static_cast<R>(1.0 / std::sqrt(2.0));
+  auto eff = [&](int row, int m) {
+    const cplx v = std::conj(basis(row, m));
+    return C(static_cast<R>(v.real()), static_cast<R>(v.imag()));
+  };
+  std::vector<C> out(op == MeasOp::MeasureValidFold ||
+                             op == MeasOp::MeasureStaleFold
+                         ? dim / 2
+                         : dim);
+  // The unnormalized projection of outcome m into out, returning its
+  // canonical fold under the chunk contract.
+  auto collapse = [&](int m) {
+    const C e0 = eff(0, m), e1 = eff(1, m);
+    const EffKind k0 = eff_kind(e0), k1 = eff_kind(e1);
+    if (op == MeasOp::Gadget) {
+      for (std::uint64_t i = 0; i < dim; ++i) {
+        const C low = x[i] * s;
+        const C up = parity64(i & pmask) ? -low : low;
+        out[i] = eff_mul(k0, e0, low) + eff_mul(k1, e1, up);
+      }
+    } else if (op == MeasOp::Teleport) {
+      for (std::uint64_t r = 0; r < dim / 2; ++r) {
+        const std::uint64_t i0 = insert_zero_bit(r, q);
+        const C a = eff_mul(k0, e0, x[i0] * s);
+        const C b = eff_mul(k1, e1, x[i0 | (std::uint64_t{1} << q)] * s);
+        const bool s0 = parity64(i0 & pmask) != 0;
+        const bool s1 = s0 ^ (((pmask >> q) & 1) != 0);
+        out[r] = a + b;
+        out[dim / 2 + r] = (s0 ? -a : a) + (s1 ? -b : b);
+      }
+    } else {
+      for (std::uint64_t r = 0; r < dim / 2; ++r) {
+        const std::uint64_t i0 = insert_zero_bit(r, q);
+        out[r] = eff_mul(k0, e0, x[i0]) +
+                 eff_mul(k1, e1, x[i0 | (std::uint64_t{1} << q)]);
+      }
+    }
+    return thr::fold_norms(k, out.data(), out.size(), 1);
+  };
+  Oracle o;
+  o.outcome = forced;
+  R nrm2 = R(0);
+  if (forced == -1) {
+    real total;
+    if (op == MeasOp::MeasureValidFold)
+      total = running_fold;
+    else if (op == MeasOp::MeasureStaleFold)
+      total = static_cast<real>(thr::fold_norms(k, x.data(), dim, 1));
+    else
+      total = static_cast<real>(thr::prep_total_fold(k, x.data(), dim, s, 1));
+    total = std::norm(std::sqrt(total));
+    nrm2 = collapse(1);
+    Rng rng(seed);
+    o.outcome = rng.bernoulli(static_cast<real>(nrm2) / total) ? 1 : 0;
+  }
+  if (o.outcome != 1 || forced != -1) nrm2 = collapse(o.outcome);
+  o.fold = static_cast<real>(thr::scale_fold(
+      k, out.data(), out.size(),
+      static_cast<R>(1.0 / std::sqrt(static_cast<real>(nrm2))), 1));
+  for (const C& v : out) o.amps.emplace_back(v);
+  return o;
+}
+
+/// A register of n wires (positions 0..n-1 = wire ids) with distinct
+/// amplitudes, whose running fold is valid (or stale when asked).
+DynamicStatevector measure_start(Precision prec, int n, bool stale) {
+  DynamicStatevector dsv(prec);
+  dsv.add_plus_wires(0, n - 1);
+  for (int w = 0; w < n - 1; ++w) dsv.apply_rz(w, 0.3 + 0.11 * w);
+  const std::uint64_t cz[2] = {0b1011, std::uint64_t{0b11} << (n - 3)};
+  dsv.apply_cz_masks(cz, 2);
+  dsv.add_wire_plus_cz(n - 1, 0b101);  // leaves the fold valid
+  if (stale) {
+    dsv.apply_h(1);
+    dsv.apply_h(1);  // H·H: same state up to rounding, fold stale
+  }
+  return dsv;
+}
+
+TEST(SimdKernels, TwoSweepMeasurementsMatchTheHistoricalSequence) {
+  IsaGuard isa_guard;
+  ThreadGuard thread_guard;
+  const Matrix xy = measurement_basis(MeasBasis::XY, 0.8);
+  const Matrix yz = measurement_basis(MeasBasis::YZ, -0.6);
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    for (int n : {10, 16}) {  // below / above thr::kChunkCutoffDim
+      for (MeasOp op : {MeasOp::MeasureValidFold, MeasOp::MeasureStaleFold,
+                        MeasOp::Gadget, MeasOp::Teleport}) {
+        const bool stale = op == MeasOp::MeasureStaleFold;
+        // A low, a middle and the top position (the top-bit measures
+        // write in place).
+        for (int q : {0, n / 2, n - 1}) {
+          if (op == MeasOp::Gadget && q != 0) continue;  // no measured wire
+          for (int forced : {-1, 0, 1}) {
+            force_simd_isa(SimdIsa::Scalar);
+            thr::set_kernel_threads(1);
+            const DynamicStatevector start = measure_start(prec, n, stale);
+            ASSERT_EQ(start.norm_fold_valid(), !stale);
+            const std::vector<cplx> x = start.state_in_order(start.wire_order());
+            const std::uint64_t pmask =
+                op == MeasOp::Gadget ? 0b100101ULL
+                                     : (std::uint64_t{1} << q) |
+                                           (q + 2 < n ? 0b1ULL << (q + 2) : 0);
+            const Matrix& basis = op == MeasOp::Gadget ? yz : xy;
+            const std::uint64_t seed = 500 + static_cast<std::uint64_t>(q);
+            const Oracle want =
+                prec == Precision::F64
+                    ? historical_measure<double>(op, x, q, pmask, basis,
+                                                 start.norm_fold(), seed, forced)
+                    : historical_measure<float>(op, x, q, pmask, basis,
+                                                start.norm_fold(), seed, forced);
+            for (SimdIsa isa : supported_simd_isas()) {
+              force_simd_isa(isa);
+              for (int t : {1, 2, 8}) {
+                thr::set_kernel_threads(t);
+                SCOPED_TRACE(std::string(precision_name(prec)) +
+                             " n=" + std::to_string(n) + " op=" +
+                             std::to_string(static_cast<int>(op)) +
+                             " q=" + std::to_string(q) + " forced=" +
+                             std::to_string(forced) + " isa=" +
+                             isa_name(isa) + " threads=" + std::to_string(t));
+                DynamicStatevector dsv = start;
+                Rng rng(seed);
+                int got;
+                switch (op) {
+                  case MeasOp::Gadget:
+                    got = dsv.prep_cz_measure(n, pmask, basis, rng, forced);
+                    break;
+                  case MeasOp::Teleport:
+                    got = dsv.prep_cz_teleport_measure(n, pmask, q, basis, rng,
+                                                       forced);
+                    break;
+                  default:
+                    got = dsv.measure_remove(q, basis, rng, forced);
+                    break;
+                }
+                EXPECT_EQ(got, want.outcome);
+                EXPECT_TRUE(buffers_bit_equal(
+                    want.amps, dsv.state_in_order(dsv.wire_order())));
+                EXPECT_PRED2(same_fold, want.fold, dsv.norm_fold());
+                EXPECT_TRUE(dsv.norm_fold_valid());
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A forced outcome whose projection is zero throws before the write
+// pass, leaving amplitudes, wires and the running fold as they were —
+// for each measurement kind, below and above the chunk cutoff.
+TEST(SimdKernels, ForcedZeroProbabilityOutcomeThrowsAndLeavesRegister) {
+  IsaGuard isa_guard;
+  const Matrix z = measurement_basis(MeasBasis::Z, 0.0);
+  const Matrix x_basis = measurement_basis(MeasBasis::X, 0.0);
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    for (int n : {6, 15}) {
+      for (SimdIsa isa : supported_simd_isas()) {
+        force_simd_isa(isa);
+        SCOPED_TRACE(std::string(precision_name(prec)) + " n=" +
+                     std::to_string(n) + " isa=" + isa_name(isa));
+        // Wire 0 in |0> at position 0, the rest in |+> with phases.
+        DynamicStatevector dsv(prec);
+        dsv.add_wire(0, /*plus=*/false);
+        for (int w = 1; w < n; ++w) dsv.add_wire(w);
+        for (int w = 1; w < n; ++w) dsv.apply_rz(w, 0.2 * w);
+        const auto before = dsv.state_in_order(dsv.wire_order());
+        const auto order = dsv.wire_order();
+        const double fold = dsv.norm_fold();
+        const bool valid = dsv.norm_fold_valid();
+        auto unchanged = [&] {
+          EXPECT_EQ(dsv.wire_order(), order);
+          EXPECT_TRUE(
+              buffers_bit_equal(before, dsv.state_in_order(dsv.wire_order())));
+          EXPECT_PRED2(same_fold, fold, dsv.norm_fold());
+          EXPECT_EQ(valid, dsv.norm_fold_valid());
+          EXPECT_FALSE(dsv.has_wire(n));
+        };
+        Rng rng(1);
+        // Wire 0 is |0>: outcome 1 in Z has zero probability.
+        EXPECT_THROW(dsv.measure_remove(0, z, rng, 1), Error);
+        unchanged();
+        EXPECT_THROW(dsv.prep_cz_teleport_measure(n, 0b1, 0, z, rng, 1),
+                     Error);
+        unchanged();
+        // A fresh |+> with no CZ partner never reads 1 in X.
+        EXPECT_THROW(dsv.prep_cz_measure(n, 0, x_basis, rng, 1), Error);
+        unchanged();
+      }
+    }
   }
 }
 
