@@ -231,16 +231,10 @@ struct CollapseKernelsT {
   /// (the whole rank range of an unchunked register) the upper half
   /// continues the lower half's lanes — one fold over proj_m[0, dim) in
   /// index order — stored to folds[2m], with folds[2m + 1] = 0.
-  /// src_folds, when given (not with carry; the slice length len a power
-  /// of two and r_begin a multiple of it): the canonical folds of s·x
-  /// over the two blocks of len amplitudes the slice reads, each with
-  /// fresh lanes — at i0(r_begin) and i0(r_begin) + 2^q when 2^q ≥ len,
-  /// else at 2·r_begin and 2·r_begin + len.  These are the Born total's
-  /// chunk partials (prep_total_fold) of those blocks.
   void (*teleport_fold)(const C* x, std::uint64_t dim, int q,
                         std::uint64_t pmask, const C* e, R s,
                         std::uint64_t r_begin, std::uint64_t r_end,
-                        bool carry, R* folds, R* src_folds);
+                        bool carry, R* folds);
 
   /// Stores proj·inv for effects (e0, e1) at out[r] and out[dim/2 + r]
   /// over the rank slice, folding the stored values of each half with

@@ -70,15 +70,73 @@ R s_scale_fold(std::complex<R>* x, std::uint64_t n, R inv) {
   return acc.combine();
 }
 
+// ---- projection sweeps ----------------------------------------------------
 // The three projection shapes share one sweep body each; the kWrite
-// mode parameter selects the fold pass (both outcomes, nothing stored,
-// acc[m] folds outcome m) or the write pass (the outcome whose effects
-// are e[0], e[1], scaled by inv and stored, acc[0] folds what is stored).
+// mode parameter selects the fold pass (both outcomes, nothing stored;
+// outcome m has effects e[2m], e[2m+1]) or the write pass (the outcome
+// whose effects are e[0], e[1], scaled by inv and stored, folding what
+// is stored).
+
+/// A FoldAcc's lanes as locals for a sweep's hot loop, which feeds them
+/// one lane group at a time: kG = kL/2 amplitudes, slot t folding into
+/// lanes 2t and 2t + 1, exactly as FoldAcc::add would from a group
+/// boundary.  The loops over a group are unrolled, so every index is a
+/// constant and the lanes stay in registers, where FoldAcc's running
+/// position keeps them in memory.
+template <class R>
+struct GroupFold {
+  static constexpr int kL = kFoldLanes<R>;
+  static constexpr int kG = kL / 2;
+  R a[kL];
+  void load(const FoldAcc<R>& f) noexcept {
+#pragma GCC unroll 16
+    for (int j = 0; j < kL; ++j) a[j] = f.a[j];
+  }
+  /// Hands the lanes back after `groups` whole groups.
+  void store(FoldAcc<R>& f, std::uint64_t groups) const noexcept {
+#pragma GCC unroll 16
+    for (int j = 0; j < kL; ++j) f.a[j] = a[j];
+    f.m += groups * kL;
+  }
+  void add(int t, const std::complex<R>& v) noexcept {
+    a[2 * t] += v.real() * v.real();
+    a[2 * t + 1] += v.imag() * v.imag();
+  }
+};
+
+/// Runs body(i, fold) for i in [b, e): body computes index i's values
+/// and folds value v into accumulator j (a constant) by fold(j, v).  The
+/// kN accumulators share one stream position; from a group boundary,
+/// whole lane groups fold through GroupFold lanes, and the rest (a tail
+/// shorter than a group, or everything off a boundary) through acc.
+template <int kN, class R, class Body>
+void fold_sweep(std::uint64_t b, std::uint64_t e, FoldAcc<R>* acc,
+                Body&& body) {
+  constexpr int kG = GroupFold<R>::kG;
+  std::uint64_t i = b;
+  if (acc[0].m % FoldAcc<R>::kL == 0) {
+    const std::uint64_t groups = (e - b) / kG;
+    GroupFold<R> g[kN];
+#pragma GCC unroll 4
+    for (int j = 0; j < kN; ++j) g[j].load(acc[j]);
+    for (std::uint64_t n = 0; n < groups; ++n, i += kG) {
+#pragma GCC unroll 16
+      for (int t = 0; t < kG; ++t)
+        body(i + t, [&](int j, const std::complex<R>& v) { g[j].add(t, v); });
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < kN; ++j) g[j].store(acc[j], groups);
+  }
+  for (; i < e; ++i)
+    body(i, [&](int j, const std::complex<R>& v) { acc[j].add(v); });
+}
 
 /// Fold-pass outcomes (2) or write-pass outcomes (1).
 template <bool kWrite>
 inline constexpr int kOutcomes = kWrite ? 1 : 2;
 
+/// measure_remove sweep over pair ranks [0, pairs): acc[m] folds outcome
+/// m (fold pass) or the stored outcome (write pass, acc[0]).
 template <bool kWrite, class R>
 void s_pairs_sweep(const std::complex<R>* x, std::complex<R>* out,
                    std::uint64_t pairs, int q, const std::complex<R>* e, R inv,
@@ -87,18 +145,21 @@ void s_pairs_sweep(const std::complex<R>* x, std::complex<R>* out,
   const std::uint64_t stride = std::uint64_t{1} << q;
   EffKind kinds[2 * kM];
   for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
-  for (std::uint64_t k = 0; k < pairs; ++k) {
+  fold_sweep<kM>(std::uint64_t{0}, pairs, acc, [&](std::uint64_t k,
+                                                  auto&& fold) {
     const std::uint64_t i0 = insert_zero_bit(k, q);
-    for (int m = 0; m < kM; ++m) {
-      std::complex<R> v = eff_mul(kinds[2 * m], e[2 * m], x[i0]) +
-                          eff_mul(kinds[2 * m + 1], e[2 * m + 1], x[i0 | stride]);
-      if constexpr (kWrite) {
-        v *= inv;
-        out[k] = v;
-      }
-      acc[m].add(v);
+    const std::complex<R> u0 = x[i0];
+    const std::complex<R> u1 = x[i0 | stride];
+    std::complex<R> v =
+        eff_mul(kinds[0], e[0], u0) + eff_mul(kinds[1], e[1], u1);
+    if constexpr (kWrite) {
+      v *= inv;
+      out[k] = v;
+    } else {
+      fold(1, eff_mul(kinds[2], e[2], u0) + eff_mul(kinds[3], e[3], u1));
     }
-  }
+    fold(0, v);
+  });
 }
 
 template <class R>
@@ -129,22 +190,22 @@ void s_prep_sweep(const std::complex<R>* x, std::complex<R>* out,
   constexpr int kM = kOutcomes<kWrite>;
   EffKind kinds[2 * kM];
   for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
-  for (std::uint64_t i = i_begin; i < i_end; ++i) {
+  fold_sweep<kWrite ? 1 : 3>(i_begin, i_end, acc, [&](std::uint64_t i,
+                                                      auto&& fold) {
     const std::complex<R> low = x[i] * s;
     const std::complex<R> up = parity64(i & pmask) ? -low : low;
-    if constexpr (!kWrite) acc[0].add(low);
-    for (int m = 0; m < kM; ++m) {
-      std::complex<R> v = eff_mul(kinds[2 * m], e[2 * m], low) +
-                          eff_mul(kinds[2 * m + 1], e[2 * m + 1], up);
-      if constexpr (kWrite) {
-        v *= inv;
-        out[i] = v;
-        acc[0].add(v);
-      } else {
-        acc[1 + m].add(v);
-      }
+    std::complex<R> v =
+        eff_mul(kinds[0], e[0], low) + eff_mul(kinds[1], e[1], up);
+    if constexpr (kWrite) {
+      v *= inv;
+      out[i] = v;
+      fold(0, v);
+    } else {
+      fold(0, low);
+      fold(1, v);
+      fold(2, eff_mul(kinds[2], e[2], low) + eff_mul(kinds[3], e[3], up));
     }
-  }
+  });
 }
 
 template <class R>
@@ -166,79 +227,84 @@ R s_prep_write(const std::complex<R>* x, std::complex<R>* out,
   return acc.combine();
 }
 
-/// Teleport sweep over pair ranks [r_begin, r_end): computes (and folds
-/// into lo[m] / hi[m]) only the output halves whose accumulators are
-/// given.
-template <bool kWrite, class R>
+/// Which output halves a teleport sweep computes: Both folds the lower
+/// half of outcome m into acc[m] and the upper into acc[kM + m]; Lower
+/// or Upper alone fold into acc[m].
+enum class Halves { Both, Lower, Upper };
+
+/// Teleport sweep over pair ranks [r_begin, r_end); the write pass folds
+/// what it stores unless fold_stored is false.
+template <bool kWrite, Halves H, class R>
 void s_teleport_sweep(const std::complex<R>* x, std::complex<R>* out,
                       std::uint64_t dim, int q, std::uint64_t pmask,
                       const std::complex<R>* e, R s, R inv,
                       std::uint64_t r_begin, std::uint64_t r_end,
-                      FoldAcc<R>* lo, FoldAcc<R>* hi) {
+                      FoldAcc<R>* acc, bool fold_stored = true) {
   constexpr int kM = kOutcomes<kWrite>;
+  constexpr int kHi = H == Halves::Both ? kM : 0;  // first upper-half acc
   const std::uint64_t stride = std::uint64_t{1} << q;
   const std::uint64_t rest_count = dim / 2;
+  const std::uint64_t pm_low = pmask & (stride - 1);
   const int pm_q = static_cast<int>((pmask >> q) & 1);
   EffKind kinds[2 * kM];
   for (int j = 0; j < 2 * kM; ++j) kinds[j] = eff_kind(e[j]);
   // i0 = insert_zero_bit(r, q); the sign of the upper half is
-  // parity(i0 & pmask), since bit q of i0 is clear.
-  for (std::uint64_t r = r_begin; r < r_end; ++r) {
-    const std::uint64_t i0 = insert_zero_bit(r, q);
-    const std::complex<R> u0 = x[i0] * s;
-    const std::complex<R> u1 = x[i0 | stride] * s;
-    const int s0 = parity64(i0 & pmask);
-    const int s1 = s0 ^ pm_q;
-    for (int m = 0; m < kM; ++m) {
-      const std::complex<R> a = eff_mul(kinds[2 * m], e[2 * m], u0);
-      const std::complex<R> b = eff_mul(kinds[2 * m + 1], e[2 * m + 1], u1);
-      if (lo != nullptr) {
-        std::complex<R> v = a + b;
-        if constexpr (kWrite) {
-          v *= inv;
-          out[r] = v;
+  // parity(i0 & pmask), since bit q of i0 is clear.  With no partner
+  // below q it is constant over each block of 2^q ranks.
+  std::uint64_t block = ~std::uint64_t{0};
+  int ph = 0;
+  fold_sweep<H == Halves::Both ? 2 * kM : kM>(
+      r_begin, r_end, acc, [&](std::uint64_t r, auto&& fold) {
+        const std::uint64_t i0 = insert_zero_bit(r, q);
+        if (pm_low != 0 || (r >> q) != block) {
+          block = r >> q;
+          ph = parity64(i0 & pmask);
         }
-        lo[m].add(v);
-      }
-      if (hi != nullptr) {
-        std::complex<R> v = (s0 ? -a : a) + (s1 ? -b : b);
-        if constexpr (kWrite) {
-          v *= inv;
-          out[rest_count + r] = v;
-        }
-        hi[m].add(v);
-      }
-    }
-  }
+        const std::complex<R> u0 = x[i0] * s;
+        const std::complex<R> u1 = x[i0 | stride] * s;
+        auto outcome = [&](int m, const std::complex<R>& a,
+                           const std::complex<R>& b) {
+          if constexpr (H != Halves::Upper) {
+            std::complex<R> v = a + b;
+            if constexpr (kWrite) {
+              v *= inv;
+              out[r] = v;
+            }
+            if (fold_stored) fold(m, v);
+          }
+          if constexpr (H != Halves::Lower) {
+            std::complex<R> v = (ph ? -a : a) + ((ph ^ pm_q) ? -b : b);
+            if constexpr (kWrite) {
+              v *= inv;
+              out[rest_count + r] = v;
+            }
+            if (fold_stored) fold(kHi + m, v);
+          }
+        };
+        outcome(0, eff_mul(kinds[0], e[0], u0), eff_mul(kinds[1], e[1], u1));
+        if constexpr (!kWrite)
+          outcome(1, eff_mul(kinds[2], e[2], u0), eff_mul(kinds[3], e[3], u1));
+      });
 }
 
 template <class R>
 void s_teleport_fold(const std::complex<R>* x, std::uint64_t dim, int q,
                      std::uint64_t pmask, const std::complex<R>* e, R s,
                      std::uint64_t r_begin, std::uint64_t r_end, bool carry,
-                     R* folds, R* src_folds) {
-  if (src_folds != nullptr) {
-    const std::uint64_t len = r_end - r_begin;
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    const std::uint64_t a = stride >= len ? insert_zero_bit(r_begin, q)
-                                          : 2 * r_begin;
-    const std::uint64_t b = stride >= len ? a + stride : a + len;
-    src_folds[0] = s_fold_norms_scaled(x + a, len, s);
-    src_folds[1] = s_fold_norms_scaled(x + b, len, s);
-  }
-  FoldAcc<R> lo[2], hi[2];
+                     R* folds) {
+  FoldAcc<R> acc[4];  // lower 0, lower 1, upper 0, upper 1
   if (carry) {  // lower half first, the upper half continuing its lanes
-    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
-                               r_end, lo, nullptr);
-    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
-                               r_end, nullptr, lo);
+    s_teleport_sweep<false, Halves::Lower, R>(x, nullptr, dim, q, pmask, e, s,
+                                              R(1), r_begin, r_end, acc);
+    s_teleport_sweep<false, Halves::Upper, R>(x, nullptr, dim, q, pmask, e, s,
+                                              R(1), r_begin, r_end, acc);
   } else {
-    s_teleport_sweep<false, R>(x, nullptr, dim, q, pmask, e, s, R(1), r_begin,
-                               r_end, lo, hi);
+    s_teleport_sweep<false, Halves::Both, R>(x, nullptr, dim, q, pmask, e, s,
+                                             R(1), r_begin, r_end, acc);
   }
   for (int m = 0; m < 2; ++m) {
-    folds[2 * m] = lo[m].combine();
-    folds[2 * m + 1] = carry ? R(0) : hi[m].combine();
+    folds[2 * m] = acc[m].combine();
+    folds[2 * m + 1] = carry ? R(0) : acc[2 + m].combine();
   }
 }
 
@@ -248,12 +314,12 @@ void s_teleport_write(const std::complex<R>* x, std::complex<R>* out,
                       std::complex<R> e0, std::complex<R> e1, R s, R inv,
                       std::uint64_t r_begin, std::uint64_t r_end, R* folds) {
   const std::complex<R> e[2] = {e0, e1};
-  FoldAcc<R> lo, hi;
-  s_teleport_sweep<true>(x, out, dim, q, pmask, e, s, inv, r_begin, r_end, &lo,
-                         &hi);
+  FoldAcc<R> acc[2];  // lower, upper
+  s_teleport_sweep<true, Halves::Both>(x, out, dim, q, pmask, e, s, inv,
+                                       r_begin, r_end, acc, folds != nullptr);
   if (folds == nullptr) return;
-  folds[0] = lo.combine();
-  folds[1] = hi.combine();
+  folds[0] = acc[0].combine();
+  folds[1] = acc[1].combine();
 }
 
 template <class R>

@@ -164,14 +164,12 @@ struct VecKernels {
     }
   };
 
-  /// Calls body(k, u0, u1, v0, v1) for pair ranks k = k_begin,
-  /// k_begin + kWc, ... < k_end (k_begin a multiple of kWc), where u0 /
-  /// u1 hold the kWc amplitudes x[i0] / x[i0 | 1<<q], i0 =
-  /// insert_zero_bit(k + t, q), t = 0..kWc−1, and v0, v1 are the two
-  /// registers as loaded.  A wide stride reads two contiguous runs (v0 =
-  /// u0, v1 = u1); an in-register stride reads the 2·kWc-amplitude block
-  /// at 2k (v0 then v1) and splits it.  Callers send in-register strides
-  /// to scalar unless kSplits.
+  /// Calls body(k, u0, u1) for pair ranks k = k_begin, k_begin + kWc,
+  /// ... < k_end (k_begin a multiple of kWc), where u0 / u1 hold the kWc
+  /// amplitudes x[i0] / x[i0 | 1<<q], i0 = insert_zero_bit(k + t, q),
+  /// t = 0..kWc−1.  A wide stride reads two contiguous runs; an
+  /// in-register stride reads the 2·kWc-amplitude block at 2k and splits
+  /// it.  Callers send in-register strides to scalar unless kSplits.
   template <class Body>
   static void for_pairs(const R* p, int q, std::uint64_t k_begin,
                         std::uint64_t k_end, Body&& body) {
@@ -179,18 +177,14 @@ struct VecKernels {
     if (stride >= std::uint64_t(kWc)) {
       for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
         const std::uint64_t i0 = insert_zero_bit(k, q);
-        const V u0 = T::load(p + 2 * i0);
-        const V u1 = T::load(p + 2 * (i0 | stride));
-        body(k, u0, u1, u0, u1);
+        body(k, T::load(p + 2 * i0), T::load(p + 2 * (i0 | stride)));
       }
     } else if constexpr (kSplits) {
       const typename T::Deinterleave split(q);
       for (std::uint64_t k = k_begin; k < k_end; k += kWc) {
-        const V v0 = T::load(p + 4 * k);
-        const V v1 = T::load(p + 4 * k + kW);
         V u0, u1;
-        split(v0, v1, u0, u1);
-        body(k, u0, u1, v0, v1);
+        split(T::load(p + 4 * k), T::load(p + 4 * k + kW), u0, u1);
+        body(k, u0, u1);
       }
     }
   }
@@ -327,7 +321,7 @@ struct VecKernels {
     // Accumulate in locals (kept in registers; written back at the end).
     Acc a0 = acc[0], a1;
     if constexpr (P != Pass::Write) a1 = acc[1];
-    for_pairs(dp(x), q, 0, pairs, [&](std::uint64_t k, V u0, V u1, V, V) {
+    for_pairs(dp(x), q, 0, pairs, [&](std::uint64_t k, V u0, V u1) {
       if constexpr (kFold) {
         a0.add(T::add(f0.apply(u0), f1.apply(u1)));
         a1.add(T::add(f2.apply(u0), f3.apply(u1)));
@@ -399,17 +393,13 @@ struct VecKernels {
   /// multiples of kWc: lower out[r] = a + b and upper out[dim/2 + r] =
   /// ±a ± b with a, b the scaled effect products of each outcome the
   /// pass computes.  Only the halves whose accumulators (lo[m] / hi[m])
-  /// are given are computed.  With src, the fold pass also folds s·x over
-  /// the slice's two source blocks into src[0] / src[1] (see
-  /// teleport_fold), in index order as it reads them: the u0 and u1 runs
-  /// of a stride at least the slice length, or the loaded registers of
-  /// an in-register stride.  Other strides must not pass src.
+  /// are given are computed; the write pass folds what it stores unless
+  /// fold_stored is false.
   template <Pass P, EffKind K0, EffKind K1>
   static void teleport_steps(const C* x, C* out, std::uint64_t dim, int q,
                              std::uint64_t pmask, const C* e, R s, R inv,
                              std::uint64_t r_begin, std::uint64_t r_end,
-                             Acc* lo, Acc* hi, Acc* src = nullptr,
-                             bool fold_stored = true) {
+                             Acc* lo, Acc* hi, bool fold_stored = true) {
     constexpr bool kFold = P == Pass::Fold;
     constexpr int kM = P == Pass::Write ? 1 : 2;
     const std::uint64_t rest_count = dim / 2;
@@ -422,34 +412,14 @@ struct VecKernels {
     // Accumulate in locals (kept in registers; the caller's are written
     // back once at the end).
     const bool do_lo = lo != nullptr, do_hi = hi != nullptr;
-    const bool runs = src != nullptr && (std::uint64_t{1} << q) >= kWc;
-    const bool loads = src != nullptr && !runs;
-    Acc l[kM], h[kM], s0, s1;
+    Acc l[kM], h[kM];
     for (int m = 0; m < kM; ++m) {
       if (do_lo) l[m] = lo[m];
       if (do_hi) h[m] = hi[m];
     }
-    // Loaded registers run through the first source block for the first
-    // half of the slice's ranks, then through the second.
-    const std::uint64_t mid = r_begin + (r_end - r_begin) / 2;
-    for_pairs(dp(x), q, r_begin, r_end, [&](std::uint64_t r, V u0, V u1,
-                                            V v0, V v1) {
+    for_pairs(dp(x), q, r_begin, r_end, [&](std::uint64_t r, V u0, V u1) {
       const V x0 = T::mul(u0, sv);
       const V x1 = T::mul(u1, sv);
-      if (runs) {
-        s0.add(x0);
-        s1.add(x1);
-      } else if (loads) {
-        const V y0 = T::mul(v0, sv);
-        const V y1 = T::mul(v1, sv);
-        if (r < mid) {
-          s0.add(y0);
-          s0.add(y1);
-        } else {
-          s1.add(y0);
-          s1.add(y1);
-        }
-      }
       const std::uint64_t i0 = insert_zero_bit(r, q);
       if constexpr (kFold) {
         const V a[2] = {f0.apply(x0), f2.apply(x0)};
@@ -477,10 +447,6 @@ struct VecKernels {
     for (int m = 0; m < kM; ++m) {
       if (do_lo) lo[m] = l[m];
       if (do_hi) hi[m] = h[m];
-    }
-    if (src != nullptr) {
-      src[0] = s0;
-      src[1] = s1;
     }
   }
 
@@ -597,21 +563,13 @@ struct VecKernels {
   static void teleport_fold(const C* x, std::uint64_t dim, int q,
                             std::uint64_t pmask, const C* e, R s,
                             std::uint64_t r_begin, std::uint64_t r_end,
-                            bool carry, R* folds, R* src_folds) {
+                            bool carry, R* folds) {
     if (teleport_delegates(dim, q, pmask, r_begin, r_end)) {
       scalar_kernels_t<R>().teleport_fold(x, dim, q, pmask, e, s, r_begin,
-                                          r_end, carry, folds, src_folds);
+                                          r_end, carry, folds);
       return;
     }
-    const std::uint64_t stride = std::uint64_t{1} << q;
-    const std::uint64_t len = r_end - r_begin;
-    // The source blocks fold inline when the sweep reads them in index
-    // order; a stride between the register width and the slice length
-    // interleaves them, so they are folded after the sweep (from cache).
-    const bool inline_src =
-        src_folds != nullptr &&
-        (stride >= len || (stride < kWc && (len / 2) % kWc == 0));
-    Acc lo[2], hi[2], src[2];
+    Acc lo[2], hi[2];
     fold_with<false>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
       if (carry) {  // lower half first, the upper half continuing its lanes
         teleport_steps<P, K0, K1>(x, nullptr, dim, q, pmask, e, s, R(1),
@@ -620,21 +578,12 @@ struct VecKernels {
                                   r_begin, r_end, nullptr, lo);
       } else {
         teleport_steps<P, K0, K1>(x, nullptr, dim, q, pmask, e, s, R(1),
-                                  r_begin, r_end, lo, hi,
-                                  inline_src ? src : nullptr);
+                                  r_begin, r_end, lo, hi);
       }
     });
     for (int m = 0; m < 2; ++m) {
       folds[2 * m] = lo[m].combine();
       folds[2 * m + 1] = carry ? R(0) : hi[m].combine();
-    }
-    if (src_folds == nullptr) return;
-    if (inline_src) {
-      src_folds[0] = src[0].combine();
-      src_folds[1] = src[1].combine();
-    } else {
-      src_folds[0] = fold_norms_scaled(x + 2 * r_begin, len, s);
-      src_folds[1] = fold_norms_scaled(x + 2 * r_begin + len, len, s);
     }
   }
 
@@ -651,7 +600,7 @@ struct VecKernels {
     Acc lo, hi;
     with_kinds<Pass::Write>(e, [&]<Pass P, EffKind K0, EffKind K1>() {
       teleport_steps<P, K0, K1>(x, out, dim, q, pmask, e, s, inv, r_begin,
-                                r_end, &lo, &hi, nullptr, folds != nullptr);
+                                r_end, &lo, &hi, folds != nullptr);
     });
     if (folds == nullptr) return;
     folds[0] = lo.combine();

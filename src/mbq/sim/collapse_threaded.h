@@ -27,11 +27,12 @@
 // Born denominator (when it is needed) and BOTH outcomes' projection
 // folds, and — after the draw — a write pass that stores the chosen
 // projection already scaled by 1/√(its fold).  A source block the fold
-// pass needs twice (the measure_remove total over a stale fold; a
-// teleport total at a stride the kernel does not read in index order)
-// is re-read from L2, not memory.  So a sampled measurement reads the
-// register from memory twice and writes one output, where collapse,
-// redo-on-outcome-0 and rescale used to sweep it 3.5 to 6 times.  The
+// pass needs twice (the Born total of a teleport, or of a
+// measure_remove over a stale fold) is folded again right after the
+// projection kernel reads it, from L2, not memory.  So a sampled
+// measurement reads the register from memory twice and writes one
+// output, where collapse, redo-on-outcome-0 and rescale used to sweep
+// it 3.5 to 6 times.  The
 // passes never change values: each fold keeps the per-chunk partials
 // and the combination order of the sweep it replaces.
 //
@@ -338,8 +339,8 @@ R prep_write(const CollapseKernelsT<R>& k, const std::complex<R>* x,
 // kernel's carry mode, the write pass folds out once it is written.
 
 /// The teleport fold pass.  total (want_total) is prep_total_fold(x,
-/// dim, s): above the cutoff each rank chunk's kernel call also folds
-/// the two x chunks it reads (its src_folds).
+/// dim, s): above the cutoff each rank chunk folds the two x chunks it
+/// reads right after reading them, so they are re-read from L2.
 template <class R>
 BornFolds<R> teleport_fold(const CollapseKernelsT<R>& k,
                            const std::complex<R>* x, std::uint64_t dim, int q,
@@ -350,7 +351,7 @@ BornFolds<R> teleport_fold(const CollapseKernelsT<R>& k,
     if (want_total) f.total = prep_total_fold(k, x, dim, s, threads);
     R folds[4];
     k.teleport_fold(x, dim, q, pmask, e, s, 0, dim / 2, /*carry=*/true,
-                    folds, nullptr);
+                    folds);
     f.proj[0] = folds[0];
     f.proj[1] = folds[2];
     return f;
@@ -364,18 +365,17 @@ BornFolds<R> teleport_fold(const CollapseKernelsT<R>& k,
   R* xp = p1 + 2 * nch;
   parallel_for_threads(static_cast<std::int64_t>(nch), threads, [&](auto c) {
     const std::uint64_t r0 = c * kChunkAmps;
-    R folds[4], src[2];
+    R folds[4];
     k.teleport_fold(x, dim, q, pmask, e, s, r0, r0 + kChunkAmps,
-                    /*carry=*/false, folds, want_total ? src : nullptr);
+                    /*carry=*/false, folds);
     p0[c] = folds[0];
     p0[nch + c] = folds[1];
     p1[c] = folds[2];
     p1[nch + c] = folds[3];
-    if (want_total) {
-      int b = 0;
-      detail::for_pair_chunk_sources(r0, q,
-                                     [&](auto j, auto) { xp[j] = src[b++]; });
-    }
+    if (want_total)
+      detail::for_pair_chunk_sources(r0, q, [&](auto j, auto off) {
+        xp[j] = k.fold_norms_scaled(x + off, kChunkAmps, s);
+      });
   });
   f.proj[0] = detail::combine(p0, 2 * nch);
   f.proj[1] = detail::combine(p1, 2 * nch);

@@ -158,10 +158,8 @@ TEST(SimdKernels, RandomizedKernelsMatchScalarBitwise) {
           k.prep_write(x.data(), ob.data(), 0, dim, pmask, e0, e1, sc, inv));
       EXPECT_TRUE(buffers_bit_equal(oa, ob));
 
-      s.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fa,
-                      nullptr);
-      k.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fb,
-                      nullptr);
+      s.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fa);
+      k.teleport_fold(x.data(), dim, q, pmask, effs, sc, 0, dim / 2, true, fb);
       for (int j = 0; j < 4; ++j) EXPECT_PRED2(same_fold, fa[j], fb[j]);
       s.teleport_write(x.data(), oa.data(), dim, q, pmask, e0, e1, sc, inv, 0,
                        dim / 2, fa);
@@ -369,30 +367,9 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
       const cplx e[4] = {e0, e1, e1, e0};
       const double inv = rng.uniform() + 0.5;
       double fa[4] = {0, 0, 0, 0}, fb[4] = {1, 1, 1, 1};  // must be stored
-      s.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fa,
-                      nullptr);
-      k.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fb,
-                      nullptr);
+      s.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fa);
+      k.teleport_fold(x.data(), dim, q, pmask, e, sc, r0, r1, false, fb);
       for (int j = 0; j < 4; ++j) EXPECT_PRED2(same_fold, fa[j], fb[j]);
-      // Source-block folds of a power-of-two slice: equal to scalar's and
-      // to fold_norms_scaled over the blocks the slice reads.
-      const std::uint64_t len = std::uint64_t{1} << rng.uniform_index(nq);
-      const std::uint64_t rb = len * rng.uniform_index(ranks / len);
-      double sa[2], sb[2] = {-1, -1};
-      s.teleport_fold(x.data(), dim, q, pmask, e, sc, rb, rb + len, false, fa,
-                      sa);
-      k.teleport_fold(x.data(), dim, q, pmask, e, sc, rb, rb + len, false, fb,
-                      sb);
-      EXPECT_PRED2(same_fold, sa[0], sb[0]);
-      EXPECT_PRED2(same_fold, sa[1], sb[1]);
-      const std::uint64_t blk =
-          (std::uint64_t{1} << q) >= len ? insert_zero_bit(rb, q) : 2 * rb;
-      const std::uint64_t blk2 =
-          (std::uint64_t{1} << q) >= len ? blk + (std::uint64_t{1} << q)
-                                         : blk + len;
-      EXPECT_PRED2(same_fold, sa[0], s.fold_norms_scaled(x.data() + blk, len, sc));
-      EXPECT_PRED2(same_fold, sa[1],
-                   s.fold_norms_scaled(x.data() + blk2, len, sc));
       auto oa = random_amps(rng, dim);
       auto ob = oa;
       s.teleport_write(x.data(), oa.data(), dim, q, pmask, e0, e1, sc, inv, r0,
@@ -417,8 +394,7 @@ TEST(SimdKernels, RandomizedRangedKernelsMatchScalarBitwise) {
       s.teleport_write(x.data(), sliced.data(), dim, q, pmask, e0, e1, sc, 1.0,
                        mid, ranks, w1);
       EXPECT_TRUE(buffers_bit_equal(full, sliced));
-      s.teleport_fold(x.data(), dim, q, pmask, e, sc, 0, mid, false, g0,
-                      nullptr);
+      s.teleport_fold(x.data(), dim, q, pmask, e, sc, 0, mid, false, g0);
       EXPECT_PRED2(same_fold, w0[0], g0[0]);
       EXPECT_PRED2(same_fold, w0[1], g0[1]);
 
