@@ -20,6 +20,13 @@ std::uint64_t byproduct_flips(const core::CompiledPattern& cp, int n,
   return flip;
 }
 
+mbqc::ExecOptions exec_options_for(const Workload& w) {
+  mbqc::ExecOptions opt;
+  opt.entangler_noise = w.entangler_noise();
+  opt.precision = w.precision();
+  return opt;
+}
+
 }  // namespace
 
 std::string MbqcBackend::name() const {
@@ -44,17 +51,6 @@ Capabilities MbqcBackend::capabilities() const {
   return caps;
 }
 
-namespace {
-
-mbqc::ExecOptions exec_options_for(const Workload& w) {
-  mbqc::ExecOptions opt;
-  opt.entangler_noise = w.entangler_noise();
-  opt.precision = w.precision();
-  return opt;
-}
-
-}  // namespace
-
 std::shared_ptr<const Prepared> MbqcBackend::prepare(
     const Workload& w, const qaoa::Angles& a) const {
   auto prep = std::make_shared<PreparedPattern>();
@@ -65,7 +61,7 @@ std::shared_ptr<const Prepared> MbqcBackend::prepare(
   // subsequent expectation/sample shot replays the tape only.
   prep->executable =
       std::make_shared<const mbqc::CompiledPattern>(prep->compiled.pattern);
-  prep->arena_bytes = prep->executable->arena_bytes(w.precision());
+  prep->arena_bytes = prep->executable->arena_bytes(exec_options_for(w));
   return prep;
 }
 

@@ -25,7 +25,8 @@ struct PreparedPattern final : Prepared {
   /// on the dynamic statevector (mbqc, mbqc-classical); the tableau path
   /// walks compiled.pattern directly and leaves it null.
   std::shared_ptr<const mbqc::CompiledPattern> executable;
-  /// executable's arena_bytes at the workload's precision; 0 without one.
+  /// executable's arena_bytes under the workload's precision and noise:
+  /// what the executor that runs it allocates.  0 without one.
   std::uint64_t arena_bytes = 0;
 
   std::uint64_t executor_bytes() const noexcept override {

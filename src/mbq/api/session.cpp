@@ -32,9 +32,9 @@ int resolve_num_processes(int requested) {
 /// grain above the trip count keeps them on the calling thread
 /// (kernel-level).
 std::int64_t item_grain(std::uint64_t executor_bytes, std::int64_t items) {
-  const Parallelism p = choose_parallelism(
-      executor_bytes, static_cast<std::uint64_t>(items), num_threads(),
-      thr::kernel_threads(), llc_bytes());
+  const Parallelism p =
+      choose_parallelism(executor_bytes, static_cast<std::uint64_t>(items),
+                         thr::kernel_threads(), l2_bytes());
   return p == Parallelism::kShots ? 1 : items + 1;
 }
 
@@ -50,14 +50,12 @@ std::uint64_t max_executor_bytes(
 }  // namespace
 
 Parallelism choose_parallelism(std::uint64_t executor_bytes,
-                               std::uint64_t items, int shot_threads,
-                               int kernel_threads,
-                               std::uint64_t llc_bytes) noexcept {
+                               std::uint64_t items, int kernel_threads,
+                               std::uint64_t l2_bytes) noexcept {
   if (executor_bytes == 0 || kernel_threads <= 1) return Parallelism::kShots;
   if (items <= 1) return Parallelism::kKernels;
-  const auto threads = static_cast<std::uint64_t>(std::max(shot_threads, 1));
-  return threads * executor_bytes > llc_bytes ? Parallelism::kKernels
-                                              : Parallelism::kShots;
+  return executor_bytes > l2_bytes ? Parallelism::kKernels
+                                   : Parallelism::kShots;
 }
 
 const Shot& SampleResult::best() const {

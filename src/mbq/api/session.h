@@ -12,13 +12,14 @@
 //
 // Shot-level or kernel-level threads: sample(), sample_batch() and the
 // point fan-out of expectation_batch() run their independent items
-// (shots, angle points) concurrently, one per thread — unless that many
-// executor arenas side by side would not fit in the host's last-level
-// cache.  Then every shot would stream its arena from DRAM, so the
-// items run one at a time on the calling thread instead, and the
-// simulator's kernel sweeps spread each one over thr::kernel_threads()
-// on a cache-resident arena.  choose_parallelism() below is the whole
-// rule; results are bit-identical on either path.
+// (shots, angle points) concurrently, one per thread — unless one
+// item's executor arena does not fit in the private L2 cache of the
+// core that would run it.  Then every shot would stream its arena from
+// the shared L3 or DRAM, so the items run one at a time on the calling
+// thread instead, and the simulator's kernel sweeps spread each one over
+// thr::kernel_threads(), every core sweeping its own slice of one
+// arena.  choose_parallelism() below is the whole rule; results are
+// bit-identical on either path.
 //
 // Construct with a registry name to stay decoupled from concrete
 // adapters:
@@ -180,15 +181,17 @@ enum class Parallelism {
 ///     loop would then leave the other cores idle;
 ///   * kKernels for a single item, which runs on the calling thread
 ///     either way;
-///   * kKernels when shot_threads arenas of executor_bytes each exceed
-///     llc_bytes — side by side they would stream from DRAM;
+///   * kKernels when one arena of executor_bytes exceeds l2_bytes, the
+///     private L2 of the core that would run it — shot by shot, each
+///     core would then stream its own arena from the shared L3 or DRAM,
+///     where kernel threads split one arena between them;
 ///   * kShots otherwise.
-/// Session feeds it common::num_threads(), thr::kernel_threads() and
-/// llc_bytes() (common/cpu.h).
+/// Session feeds it thr::kernel_threads() and l2_bytes() (common/cpu.h).
+/// The shot thread count does not enter: each shot thread runs on its
+/// own core and L2.
 Parallelism choose_parallelism(std::uint64_t executor_bytes,
-                               std::uint64_t items, int shot_threads,
-                               int kernel_threads,
-                               std::uint64_t llc_bytes) noexcept;
+                               std::uint64_t items, int kernel_threads,
+                               std::uint64_t l2_bytes) noexcept;
 
 struct Shot {
   std::uint64_t x = 0;

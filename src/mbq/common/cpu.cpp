@@ -1,8 +1,8 @@
 #include "mbq/common/cpu.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <utility>
 
 #include "mbq/common/error.h"
 
@@ -69,8 +69,7 @@ std::optional<SimdIsa> simd_env_override() {
   }
 }
 
-std::uint64_t read_llc_bytes(const std::string& cache_dir) {
-  int best_level = 0;
+std::uint64_t read_l2_bytes(const std::string& cache_dir) {
   std::uint64_t best = 0;
   for (int idx = 0; idx < 16; ++idx) {
     const std::string dir = cache_dir + "/index" + std::to_string(idx);
@@ -78,7 +77,7 @@ std::uint64_t read_llc_bytes(const std::string& cache_dir) {
         type_in(dir + "/type");
     int level = 0;
     std::string size, type;
-    if (!(level_in >> level) || !(size_in >> size)) continue;
+    if (!(level_in >> level) || level != 2 || !(size_in >> size)) continue;
     if (type_in >> type && type == "Instruction") continue;
     char* end = nullptr;
     std::uint64_t bytes = std::strtoull(size.c_str(), &end, 10);
@@ -86,21 +85,14 @@ std::uint64_t read_llc_bytes(const std::string& cache_dir) {
     if (*end == 'K') bytes <<= 10;
     if (*end == 'M') bytes <<= 20;
     if (*end == 'G') bytes <<= 30;
-    // Level 3 wins outright; otherwise the deepest level, the larger
-    // entry on a tie.
-    const auto rank = [](int l) { return l == 3 ? 1000 : l; };
-    if (bytes > 0 && std::pair(rank(level), bytes) >
-                         std::pair(rank(best_level), best)) {
-      best_level = level;
-      best = bytes;
-    }
+    best = std::max(best, bytes);
   }
-  return best > 0 ? best : kFallbackLlcBytes;
+  return best > 0 ? best : kFallbackL2Bytes;
 }
 
-std::uint64_t llc_bytes() {
+std::uint64_t l2_bytes() {
   static const std::uint64_t bytes =
-      read_llc_bytes("/sys/devices/system/cpu/cpu0/cache");
+      read_l2_bytes("/sys/devices/system/cpu/cpu0/cache");
   return bytes;
 }
 

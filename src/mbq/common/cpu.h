@@ -13,7 +13,7 @@
 // reject a vector flavor — lives in sim/collapse_kernels.{h,cpp}; this
 // layer only answers "could we?" and "were we asked to?".
 //
-// It also reports the host's last-level cache size, the input
+// It also reports the size of one core's private L2 cache, the input
 // api::Session uses to choose between shot-level and kernel-level
 // threads (see session.h).
 
@@ -44,17 +44,20 @@ bool host_supports_isa(SimdIsa isa) noexcept;
 /// fail loudly at dispatch time, never silently fall back.
 std::optional<SimdIsa> simd_env_override();
 
-/// Last-level cache size assumed when sysfs cannot be read: 32 MiB, a
-/// conservative figure for current server parts.
-inline constexpr std::uint64_t kFallbackLlcBytes = std::uint64_t{32} << 20;
+/// Per-core L2 size assumed when sysfs cannot be read: 1 MiB, a
+/// conservative figure for current server parts (2 MiB on Sapphire
+/// Rapids and later).
+inline constexpr std::uint64_t kFallbackL2Bytes = std::uint64_t{1} << 20;
 
-/// Size in bytes of the last-level cache described by a sysfs cache
-/// directory (`<cache_dir>/index*/{level,type,size}`): the level-3 cache
-/// when one is listed, otherwise the largest level; instruction caches
-/// never count.  kFallbackLlcBytes when nothing there can be read.
-std::uint64_t read_llc_bytes(const std::string& cache_dir);
+/// Size in bytes of the level-2 cache described by a sysfs cache
+/// directory (`<cache_dir>/index*/{level,type,size}`): the largest
+/// level-2 entry; instruction caches never count.  kFallbackL2Bytes when
+/// no level-2 entry can be read.  Unlike the last-level cache, which a
+/// virtual machine reports for the whole host socket, the L2 that sysfs
+/// lists is the one the core actually has.
+std::uint64_t read_l2_bytes(const std::string& cache_dir);
 
-/// read_llc_bytes of cpu0's sysfs cache directory, read once per process.
-std::uint64_t llc_bytes();
+/// read_l2_bytes of cpu0's sysfs cache directory, read once per process.
+std::uint64_t l2_bytes();
 
 }  // namespace mbq

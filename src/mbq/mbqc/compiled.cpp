@@ -165,18 +165,23 @@ CompiledPattern::CompiledPattern(const Pattern& p) {
 
   // Replay the tape's register width the way DynamicStatevector tracks
   // it: preps add a wire, measures remove one, and the fused gadget and
-  // teleport blocks peak one wire above the register they run on.
+  // teleport blocks peak one wire above the register they run on.  The
+  // resident width leaves that virtual wire out: a noiseless run never
+  // materializes it, so no buffer grows past the register itself.
   int live = static_cast<int>(input_slots_.size());
   peak_live_ = live;
+  resident_width_ = live;
   for (const Op& op : tape_) {
     switch (op.kind) {
       case OpKind::PrepRun:
         live += op.b;
         peak_live_ = std::max(peak_live_, live);
+        resident_width_ = std::max(resident_width_, live);
         break;
       case OpKind::Prep:
       case OpKind::PrepCz:
         peak_live_ = std::max(peak_live_, ++live);
+        resident_width_ = std::max(resident_width_, live);
         break;
       case OpKind::PrepCzMeasure:
       case OpKind::PrepCzTeleport:
@@ -201,6 +206,7 @@ PatternExecutor::PatternExecutor(std::shared_ptr<const CompiledPattern> compiled
                   options_.entangler_noise <= 1.0,
               "noise probability out of range: " << options_.entangler_noise);
   outcomes_.reserve(static_cast<std::size_t>(compiled_->num_measurements()));
+  dsv_.reserve(compiled_->arena_width(options_));
 }
 
 RunResult PatternExecutor::run(Rng& rng) { return execute(&rng, nullptr); }
@@ -240,6 +246,7 @@ void PatternExecutor::rebind(std::shared_ptr<const CompiledPattern> compiled) {
   MBQ_REQUIRE(compiled != nullptr, "PatternExecutor needs a compiled pattern");
   compiled_ = std::move(compiled);
   outcomes_.reserve(static_cast<std::size_t>(compiled_->num_measurements()));
+  dsv_.reserve(compiled_->arena_width(options_));
 }
 
 RunResult PatternExecutor::execute(Rng* rng, const int* forced,
@@ -420,7 +427,8 @@ PatternExecutor& thread_local_executor(
               "construct a PatternExecutor directly");
   thread_local std::unique_ptr<PatternExecutor> executor;
   if (executor == nullptr || !(executor->options() == options) ||
-      executor->compiled().peak_live() != compiled->peak_live()) {
+      executor->compiled().arena_width(options) !=
+          compiled->arena_width(options)) {
     executor = std::make_unique<PatternExecutor>(compiled, options);
   } else if (&executor->compiled() != compiled.get()) {
     executor->rebind(compiled);

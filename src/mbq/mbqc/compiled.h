@@ -43,6 +43,29 @@
 
 namespace mbq::mbqc {
 
+/// Per-executor knobs: RunOptions minus `forced`, which is a per-run
+/// argument (PatternExecutor::run_forced).
+struct ExecOptions {
+  /// Apply X/Z correction commands (true) or record the byproducts in
+  /// RunResult::pending_x/pending_z instead.
+  bool apply_corrections = true;
+  /// Initial states for input wires, keyed by ORIGINAL wire id.
+  std::unordered_map<int, std::pair<cplx, cplx>> input_states;
+  /// Depolarizing noise after every E command (see RunOptions).
+  /// Incompatible with run_forced.  Noisy runs take the per-command
+  /// (unfused) execution path so the rng stream matches the interpreter
+  /// draw for draw.
+  real entangler_noise = 0.0;
+  /// Statevector storage precision of the executor arena (see
+  /// sim/dynamic_statevector.h).  F32 runs are deterministic within the
+  /// precision but NOT bit-comparable to F64 runs.
+  Precision precision = Precision::F64;
+
+  /// Whole-struct comparison keeps thread_local_executor's staleness
+  /// check honest when fields are added here.
+  friend bool operator==(const ExecOptions&, const ExecOptions&) = default;
+};
+
 /// A Pattern validated once and lowered to an immutable flat op tape.
 /// Safe to share (by const reference / shared_ptr) across threads; all
 /// mutable execution state lives in PatternExecutor.
@@ -65,14 +88,24 @@ class CompiledPattern {
   /// (a fused gadget or teleport block counts its fresh wire, which a
   /// noisy run materializes).
   int peak_live() const noexcept { return peak_live_; }
-  /// Bytes one PatternExecutor arena holds at peak: the amplitude
-  /// buffer and its ping-pong scratch, each 2^peak_live amplitudes of
-  /// precision `p`.  api::Session weighs this against the last-level
-  /// cache to choose shot-level or kernel-level threads.
-  std::uint64_t arena_bytes(Precision p) const noexcept {
-    const std::uint64_t amp = p == Precision::F64 ? sizeof(cplx)
-                                                  : sizeof(cplxf);
-    return 2 * (std::uint64_t{1} << peak_live_) * amp;
+  /// Widest register a run with these options allocates: peak_live()
+  /// for noisy runs, which replay every fused block command by command;
+  /// otherwise the widest register the tape materializes, which leaves
+  /// out the fused blocks' fresh wire (the doubled register never
+  /// exists) and so may be one below peak_live().
+  int arena_width(const ExecOptions& options) const noexcept {
+    return options.entangler_noise > 0.0 ? peak_live_ : resident_width_;
+  }
+  /// Bytes a PatternExecutor with these options allocates, once, when
+  /// it is built: the amplitude buffer and its ping-pong scratch, each
+  /// 2^arena_width amplitudes of the options' precision.  api::Session
+  /// weighs this against the per-core L2 to choose shot-level or
+  /// kernel-level threads.
+  std::uint64_t arena_bytes(const ExecOptions& options) const noexcept {
+    const std::uint64_t amp = options.precision == Precision::F64
+                                  ? sizeof(cplx)
+                                  : sizeof(cplxf);
+    return 2 * (std::uint64_t{1} << arena_width(options)) * amp;
   }
 
  private:
@@ -135,29 +168,7 @@ class CompiledPattern {
   int num_measurements_ = 0;
   int num_slots_ = 0;
   int peak_live_ = 0;
-};
-
-/// Per-executor knobs: RunOptions minus `forced`, which is a per-run
-/// argument (PatternExecutor::run_forced).
-struct ExecOptions {
-  /// Apply X/Z correction commands (true) or record the byproducts in
-  /// RunResult::pending_x/pending_z instead.
-  bool apply_corrections = true;
-  /// Initial states for input wires, keyed by ORIGINAL wire id.
-  std::unordered_map<int, std::pair<cplx, cplx>> input_states;
-  /// Depolarizing noise after every E command (see RunOptions).
-  /// Incompatible with run_forced.  Noisy runs take the per-command
-  /// (unfused) execution path so the rng stream matches the interpreter
-  /// draw for draw.
-  real entangler_noise = 0.0;
-  /// Statevector storage precision of the executor arena (see
-  /// sim/dynamic_statevector.h).  F32 runs are deterministic within the
-  /// precision but NOT bit-comparable to F64 runs.
-  Precision precision = Precision::F64;
-
-  /// Whole-struct comparison keeps thread_local_executor's staleness
-  /// check honest when fields are added here.
-  friend bool operator==(const ExecOptions&, const ExecOptions&) = default;
+  int resident_width_ = 0;
 };
 
 /// Replays a CompiledPattern's tape; owns the DynamicStatevector arena
@@ -188,6 +199,11 @@ class PatternExecutor {
   };
   SampledShot run_sample(Rng& rng);
 
+  /// Bytes the arena's two amplitude buffers have allocated: the
+  /// compiled pattern's arena_bytes(options()), reserved at
+  /// construction (after a rebind, the larger of the patterns').
+  std::uint64_t arena_bytes() const noexcept { return dsv_.buffer_bytes(); }
+
   /// Outcomes of the most recent execution (any entry point).
   const std::vector<int>& last_outcomes() const noexcept { return outcomes_; }
 
@@ -201,8 +217,9 @@ class PatternExecutor {
   /// `branch` (the run_all_branches enumeration order).
   RunResult run_forced(std::uint64_t branch);
 
-  /// Replay `compiled` from now on, keeping the warm arena.  Every run
-  /// starts from a reset register, so results equal a fresh executor's.
+  /// Replay `compiled` from now on, keeping the warm arena (grown if
+  /// `compiled` needs a wider one).  Every run starts from a reset
+  /// register, so results equal a fresh executor's.
   void rebind(std::shared_ptr<const CompiledPattern> compiled);
 
  private:
@@ -225,19 +242,19 @@ class PatternExecutor {
 /// shot loops call this per shot: each worker keeps one warm arena for
 /// the pattern it is currently running, which is what makes
 /// Session::sample allocation-free in steady state.  Swapping to a
-/// pattern of the same peak_live — the variational loop's next angle
+/// pattern of the same arena_width — the variational loop's next angle
 /// point on the same graph — rebinds the executor and keeps the warm
-/// arena; a different peak_live or different ExecOptions (e.g. another
-/// entangler_noise) rebuilds it, and the arena restarts cold.
+/// arena; a different arena_width or different ExecOptions (e.g.
+/// another entangler_noise) rebuilds it, and the arena restarts cold.
 /// input_states are not supported through this cache (they would
 /// silently leak between callers); construct a PatternExecutor directly
 /// for those.  Retention: each thread pins ONE tape + arena (the
 /// pattern it last ran, arena_bytes() of it) until the next pattern
 /// replaces it — bounded by thread count, but it does outlive the
-/// owning Session.  Arenas too large to run side by side in the
-/// last-level cache are only built on the thread that calls into
-/// api::Session, which then runs the shots one at a time on kernel
-/// threads; pool threads keep small arenas only.
+/// owning Session.  Arenas larger than one core's L2 are only built on
+/// the thread that calls into api::Session, which then runs the shots
+/// one at a time on kernel threads; pool threads keep L2-sized arenas
+/// only.
 PatternExecutor& thread_local_executor(
     const std::shared_ptr<const CompiledPattern>& compiled,
     const ExecOptions& options = {});

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "mbq/common/bits.h"
 #include "mbq/common/error.h"
@@ -36,6 +41,40 @@ R inv_norm(R nrm2) noexcept {
 }
 
 }  // namespace
+
+#if defined(__linux__)
+namespace {
+
+std::size_t whole_huge_pages(std::size_t bytes) noexcept {
+  return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+
+}  // namespace
+
+void* huge_page_alloc(std::size_t bytes) {
+  // Map one huge page more than needed and unmap the slack on both
+  // sides, so the kept range starts on a 2 MiB boundary: only aligned
+  // 2 MiB ranges can become huge pages.
+  const std::size_t len = whole_huge_pages(bytes);
+  if (len < bytes || len + kHugePageBytes < len) throw std::bad_alloc();
+  void* raw = ::mmap(nullptr, len + kHugePageBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto base = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t start = (base + kHugePageBytes - 1) &
+                               ~std::uintptr_t{kHugePageBytes - 1};
+  if (start > base) ::munmap(raw, start - base);
+  if (const std::uintptr_t tail = base + kHugePageBytes - start; tail > 0)
+    ::munmap(reinterpret_cast<void*>(start + len), tail);
+  void* p = reinterpret_cast<void*>(start);
+  ::madvise(p, len, MADV_HUGEPAGE);  // advice only: failure keeps 4 KiB
+  return p;
+}
+
+void huge_page_free(void* p, std::size_t bytes) noexcept {
+  ::munmap(p, whole_huge_pages(bytes));
+}
+#endif
 
 template <class R>
 int DynamicStatevector::choose_outcome(const thr::BornFolds<R>& f,
@@ -96,6 +135,23 @@ void DynamicStatevector::reset() {
   fold_valid_ = true;
 }
 
+void DynamicStatevector::reserve(int width) {
+  if (width < 0 || width > kMaxLiveWires) return;
+  const std::size_t dim = std::size_t{1} << width;
+  if (prec_ == Precision::F64) {
+    amps_.reserve(dim);
+    scratch_.reserve(dim);
+  } else {
+    amps32_.reserve(dim);
+    scratch32_.reserve(dim);
+  }
+}
+
+std::uint64_t DynamicStatevector::buffer_bytes() const noexcept {
+  return (amps_.capacity() + scratch_.capacity()) * sizeof(cplx) +
+         (amps32_.capacity() + scratch32_.capacity()) * sizeof(cplxf);
+}
+
 int DynamicStatevector::position(int wire) const {
   MBQ_REQUIRE(has_wire(wire), "wire " << wire << " is not live");
   return pos_[static_cast<std::size_t>(wire)];
@@ -127,7 +183,7 @@ void DynamicStatevector::add_wire_impl(bool plus) {
 
 void DynamicStatevector::add_wire(int wire, bool plus) {
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
-  MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  MBQ_REQUIRE(num_live() < kMaxLiveWires, "too many live wires");
   fold_valid_ = false;
   if (prec_ == Precision::F64)
     add_wire_impl<double>(plus);
@@ -150,7 +206,7 @@ void DynamicStatevector::add_plus_wires_impl(int count) {
 
 void DynamicStatevector::add_plus_wires(int first, int count) {
   MBQ_REQUIRE(order_.empty(), "add_plus_wires needs an empty register");
-  MBQ_REQUIRE(count >= 0 && count <= 28, "too many live wires");
+  MBQ_REQUIRE(count >= 0 && count <= kMaxLiveWires, "too many live wires");
   MBQ_REQUIRE(first >= 0, "wire ids must be non-negative, got " << first);
   if (count == 0) return;
   fold_valid_ = false;
@@ -342,7 +398,7 @@ void DynamicStatevector::add_plus_cz_impl(std::uint64_t partner_pos_mask) {
 void DynamicStatevector::add_wire_plus_cz(int wire,
                                           std::uint64_t partner_pos_mask) {
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
-  MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  MBQ_REQUIRE(num_live() < kMaxLiveWires, "too many live wires");
   if (prec_ == Precision::F64)
     add_plus_cz_impl<double>(partner_pos_mask);
   else
@@ -420,7 +476,7 @@ int DynamicStatevector::prep_cz_measure(int wire,
   MBQ_REQUIRE(basis.rows() == 2 && basis.cols() == 2, "basis must be 2x2");
   MBQ_REQUIRE(forced >= -1 && forced <= 1, "forced outcome must be -1/0/1");
   MBQ_REQUIRE(!has_wire(wire), "wire " << wire << " already live");
-  MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  MBQ_REQUIRE(num_live() < kMaxLiveWires, "too many live wires");
   // The wire exists only virtually: it would sit at the top position
   // with upper amplitude half up[i] = ±(amps[i] * s), the sign from the
   // fused CZ partners.  Probabilities, projections and the collapsed
@@ -477,7 +533,7 @@ int DynamicStatevector::prep_cz_teleport_measure(int new_wire,
   MBQ_REQUIRE(basis.rows() == 2 && basis.cols() == 2, "basis must be 2x2");
   MBQ_REQUIRE(forced >= -1 && forced <= 1, "forced outcome must be -1/0/1");
   MBQ_REQUIRE(!has_wire(new_wire), "wire " << new_wire << " already live");
-  MBQ_REQUIRE(order_.size() < 28, "too many live wires");
+  MBQ_REQUIRE(num_live() < kMaxLiveWires, "too many live wires");
   const int q = position(meas_wire);
   // new_wire sits only VIRTUALLY at the top position: in the doubled
   // register its half-bit b selects between +s·amps[i] (b = 0) and

@@ -35,6 +35,7 @@
 // deterministic under the same contract WITHIN the precision, but its
 // streams are NOT bit-comparable to f64's (see common/types.h).
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -53,11 +54,37 @@ template <class R>
 struct BornFolds;
 }  // namespace thr
 
+/// Allocations of at least this many bytes are backed by 2 MiB pages
+/// where the OS supports it (see UninitAllocator).
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// True where huge_page_alloc exists: Linux, whose transparent huge
+/// pages are often enabled only for ranges advised MADV_HUGEPAGE.
+#if defined(__linux__)
+inline constexpr bool kHugePageAllocator = true;
+#else
+inline constexpr bool kHugePageAllocator = false;
+#endif
+
+/// `bytes` rounded up to whole huge pages, mapped 2 MiB-aligned and
+/// advised MADV_HUGEPAGE (the advice is best effort: where the kernel
+/// refuses it, the range keeps 4 KiB pages).  Throws std::bad_alloc.
+/// Linux only.
+void* huge_page_alloc(std::size_t bytes);
+/// Unmaps a huge_page_alloc(bytes) range.
+void huge_page_free(void* p, std::size_t bytes) noexcept;
+
 /// std::allocator whose value-less construct() leaves the element
 /// uninitialized, so growing a vector (resize) does not zero-fill
 /// storage a kernel is about to overwrite.  Only for implicit-lifetime
 /// element types (trivially copyable and destructible, like
 /// std::complex), whose objects allocation itself creates.
+///
+/// Allocations of kHugePageBytes or more go to huge_page_alloc on Linux:
+/// a 16 MiB amplitude buffer then sits on 8 huge pages instead of 4096
+/// small ones, so every sweep over it misses the TLB far less often.
+/// Smaller ones (every register up to 16 wires at f64) and other
+/// systems keep std::allocator.
 template <class T>
 struct UninitAllocator : std::allocator<T> {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -74,6 +101,22 @@ struct UninitAllocator : std::allocator<T> {
   template <class U, class... Args>
   void construct(U* p, Args&&... args) {
     ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  static constexpr bool huge(std::size_t n) noexcept {
+    return kHugePageAllocator && n >= kHugePageBytes / sizeof(T);
+  }
+  T* allocate(std::size_t n) {
+    if (!huge(n)) return std::allocator<T>::allocate(n);
+    if (n > static_cast<std::size_t>(-1) / sizeof(T))
+      throw std::bad_array_new_length();
+    return static_cast<T*>(huge_page_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (huge(n))
+      huge_page_free(p, n * sizeof(T));
+    else
+      std::allocator<T>::deallocate(p, n);
   }
 };
 
@@ -123,6 +166,20 @@ class DynamicStatevector {
   /// shot loop reuses the same arena, so steady-state execution performs
   /// no allocations at all.
   void reset();
+
+  /// Most live wires a register can hold.
+  static constexpr int kMaxLiveWires = 28;
+
+  /// Allocate both amplitude buffers — the register and its ping-pong
+  /// scratch — for registers of up to `width` live wires, so no later
+  /// operation within that width reallocates.  A buffer already that
+  /// large is kept; a width past kMaxLiveWires reserves nothing (no
+  /// register can reach it).  Contents are unchanged.
+  void reserve(int width);
+
+  /// Bytes the two amplitude buffers have allocated (their capacity,
+  /// not the live register's size).
+  std::uint64_t buffer_bytes() const noexcept;
 
   int num_live() const noexcept { return static_cast<int>(order_.size()); }
   int peak_live() const noexcept { return peak_live_; }

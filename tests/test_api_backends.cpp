@@ -195,7 +195,7 @@ TEST(BackendEquivalence, CustomCircuitAnsatzAgrees) {
 }
 
 /// mbqc with a prepared artifact that claims an arena far larger than
-/// any last-level cache, so choose_parallelism always picks the
+/// any L2 cache, so choose_parallelism always picks the
 /// kernel-level path for it; records which threads ran its shots.
 class HugeArenaBackend final : public Backend {
  public:
@@ -251,8 +251,8 @@ TEST(Session, SamplingIsReproducibleAndThreadCountIndependent) {
   Session s2(w, "mbqc", parallel);
   // The same options, but choose_parallelism picks the kernel-level path.
   const KernelThreadsGuard kernel_threads(2);
-  ASSERT_EQ(choose_parallelism(HugeArenaBackend::kBytes, 64, num_threads(),
-                               thr::kernel_threads(), llc_bytes()),
+  ASSERT_EQ(choose_parallelism(HugeArenaBackend::kBytes, 64,
+                               thr::kernel_threads(), l2_bytes()),
             Parallelism::kKernels);
   auto huge = std::make_shared<HugeArenaBackend>();
   Session s3(w, huge, parallel);
@@ -284,95 +284,127 @@ TEST(Session, SamplingIsReproducibleAndThreadCountIndependent) {
             std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
-TEST(Parallelism, FootprintAgainstLastLevelCache) {
-  // 3-regular MaxCut at p = 1 as the mbqc backend prepares it: the arena
-  // spans the n problem wires plus one gadget wire, twice (arena and
-  // ping-pong scratch).
+/// A sysfs cache directory (`index*/{level,type,size}`) under the temp
+/// directory, removed again on destruction.
+class SysfsCacheDir {
+ public:
+  explicit SysfsCacheDir(const std::string& tag)
+      : root_(std::filesystem::temp_directory_path() /
+              ("mbq_cache_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_);
+  }
+  ~SysfsCacheDir() { std::filesystem::remove_all(root_); }
+  void add(int idx, const std::string& level, const std::string& type,
+           const std::string& size) const {
+    const auto dir = root_ / ("index" + std::to_string(idx));
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir / "level") << level << "\n";
+    std::ofstream(dir / "type") << type << "\n";
+    std::ofstream(dir / "size") << size << "\n";
+  }
+  std::string path() const { return root_.string(); }
+
+ private:
+  std::filesystem::path root_;
+};
+
+TEST(Parallelism, FootprintAgainstPrivateL2) {
+  // 3-regular MaxCut at p = 1 as the mbqc backend prepares it.  A
+  // noiseless executor allocates the n problem wires' register twice
+  // (arena and ping-pong scratch): the fused gadget and teleport blocks
+  // never build their fresh wire.  A noisy one replays those blocks
+  // command by command, so its buffers span that wire too.
   const Angles a({0.3}, {0.2});
-  const auto footprint = [&](int n, Precision prec) {
+  const auto footprint = [&](int n, Precision prec, real noise = 0.0) {
     Rng rng(static_cast<std::uint64_t>(n));
     Workload w = Workload::maxcut(random_regular_graph(n, 3, rng));
     w.with_precision(prec);
+    w.with_entangler_noise(noise);
     return MbqcBackend().prepare(w, a)->executor_bytes();
   };
   constexpr std::uint64_t MiB = std::uint64_t{1} << 20;
-  EXPECT_EQ(footprint(14, Precision::F64), 1 * MiB);
-  EXPECT_EQ(footprint(18, Precision::F64), 16 * MiB);
-  EXPECT_EQ(footprint(20, Precision::F64), 64 * MiB);
-  EXPECT_EQ(footprint(20, Precision::F32), 32 * MiB);
+  EXPECT_EQ(footprint(14, Precision::F64), MiB / 2);
+  EXPECT_EQ(footprint(16, Precision::F64), 2 * MiB);
+  EXPECT_EQ(footprint(16, Precision::F32), 1 * MiB);
+  EXPECT_EQ(footprint(18, Precision::F64), 8 * MiB);
+  EXPECT_EQ(footprint(20, Precision::F64), 32 * MiB);
+  EXPECT_EQ(footprint(20, Precision::F32), 16 * MiB);
+  EXPECT_EQ(footprint(20, Precision::F64, 0.01), 64 * MiB);
 
-  // A 4-core host with a 105 MiB L3: shot-level through n = 18,
-  // kernel-level at n = 20 in either precision.
-  const std::uint64_t llc = 105 * MiB;
-  const auto pick = [&](int n, Precision prec) {
-    return choose_parallelism(footprint(n, prec), 16, 4, 4, llc);
-  };
-  EXPECT_EQ(pick(14, Precision::F64), Parallelism::kShots);
-  EXPECT_EQ(pick(14, Precision::F32), Parallelism::kShots);
-  EXPECT_EQ(pick(18, Precision::F64), Parallelism::kShots);
-  EXPECT_EQ(pick(18, Precision::F32), Parallelism::kShots);
-  EXPECT_EQ(pick(20, Precision::F64), Parallelism::kKernels);
-  EXPECT_EQ(pick(20, Precision::F32), Parallelism::kKernels);
-  // A 32 MiB L3 moves n = 18 f64 (4 x 16 MiB) to kernel level, not f32.
-  EXPECT_EQ(choose_parallelism(footprint(18, Precision::F64), 16, 4, 4,
-                               32 * MiB),
+  // The two host shapes the rule was measured on report the same 2 MiB
+  // L2 and very different last-level caches: a 4-core AVX-512 host with
+  // a 105 MiB L3, and a 4-vCPU guest whose sysfs lists the host
+  // socket's whole 300 MiB L3.  Only the L2 enters the rule, so both
+  // run n = 16 f64 shot-level (its 2 MiB arena fits exactly) and
+  // n >= 18 kernel-level.
+  for (const std::string l3 : {"107520K", "307200K"}) {
+    const SysfsCacheDir host("l3_" + l3);
+    host.add(0, "1", "Data", "48K");
+    host.add(1, "1", "Instruction", "32K");
+    host.add(2, "2", "Unified", "2048K");
+    host.add(3, "3", "Unified", l3);
+    const std::uint64_t l2 = read_l2_bytes(host.path());
+    ASSERT_EQ(l2, 2 * MiB) << l3;
+    const auto pick = [&](int n, Precision prec) {
+      return choose_parallelism(footprint(n, prec), 16, 4, l2);
+    };
+    EXPECT_EQ(pick(14, Precision::F64), Parallelism::kShots) << l3;
+    EXPECT_EQ(pick(16, Precision::F64), Parallelism::kShots) << l3;
+    EXPECT_EQ(pick(16, Precision::F32), Parallelism::kShots) << l3;
+    EXPECT_EQ(pick(18, Precision::F64), Parallelism::kKernels) << l3;
+    EXPECT_EQ(pick(18, Precision::F32), Parallelism::kKernels) << l3;
+    EXPECT_EQ(pick(20, Precision::F64), Parallelism::kKernels) << l3;
+    EXPECT_EQ(pick(20, Precision::F32), Parallelism::kKernels) << l3;
+  }
+  // A 1 MiB L2 moves n = 16 f64 (2 MiB) to kernel level, not f32.
+  EXPECT_EQ(choose_parallelism(footprint(16, Precision::F64), 16, 4, MiB),
             Parallelism::kKernels);
-  EXPECT_EQ(choose_parallelism(footprint(18, Precision::F32), 16, 4, 4,
-                               32 * MiB),
+  EXPECT_EQ(choose_parallelism(footprint(16, Precision::F32), 16, 4, MiB),
             Parallelism::kShots);
 }
 
 TEST(Parallelism, EdgeCases) {
   constexpr std::uint64_t MiB = std::uint64_t{1} << 20;
   // One kernel thread: a serial loop would idle every other core.
-  EXPECT_EQ(choose_parallelism(64 * MiB, 16, 4, 1, 105 * MiB),
+  EXPECT_EQ(choose_parallelism(64 * MiB, 16, 1, 2 * MiB),
             Parallelism::kShots);
-  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 4, 1, 105 * MiB),
-            Parallelism::kShots);
+  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 1, 2 * MiB), Parallelism::kShots);
   // One shot runs on the calling thread with every kernel thread.
-  EXPECT_EQ(choose_parallelism(1 * MiB, 1, 4, 4, 105 * MiB),
+  EXPECT_EQ(choose_parallelism(1 * MiB, 1, 4, 2 * MiB),
             Parallelism::kKernels);
-  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 4, 4, 105 * MiB),
+  EXPECT_EQ(choose_parallelism(64 * MiB, 1, 4, 2 * MiB),
             Parallelism::kKernels);
   // No reported footprint keeps shots in parallel.
-  EXPECT_EQ(choose_parallelism(0, 16, 4, 4, 1), Parallelism::kShots);
-  // The threshold is strict: arenas that exactly fill the cache fit.
-  EXPECT_EQ(choose_parallelism(25 * MiB, 16, 4, 4, 100 * MiB),
-            Parallelism::kShots);
-  EXPECT_EQ(choose_parallelism(25 * MiB + 1, 16, 4, 4, 100 * MiB),
+  EXPECT_EQ(choose_parallelism(0, 16, 4, 1), Parallelism::kShots);
+  // The threshold is strict: an arena that exactly fills the L2 fits.
+  EXPECT_EQ(choose_parallelism(2 * MiB, 16, 4, 2 * MiB), Parallelism::kShots);
+  EXPECT_EQ(choose_parallelism(2 * MiB + 1, 16, 4, 2 * MiB),
             Parallelism::kKernels);
 }
 
-TEST(Parallelism, LastLevelCacheFromSysfs) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() /
-                        ("mbq_llc_" + std::to_string(::getpid()));
-  fs::remove_all(root);
-  const auto add = [&](int idx, const std::string& level,
-                       const std::string& type, const std::string& size) {
-    const fs::path dir = root / ("index" + std::to_string(idx));
-    fs::create_directories(dir);
-    std::ofstream(dir / "level") << level << "\n";
-    std::ofstream(dir / "type") << type << "\n";
-    std::ofstream(dir / "size") << size << "\n";
-  };
+TEST(Parallelism, L2CacheFromSysfs) {
+  const SysfsCacheDir dir("l2");
   // Nothing readable: the fallback constant.
-  EXPECT_EQ(read_llc_bytes((root / "missing").string()), kFallbackLlcBytes);
-  fs::create_directories(root);
-  EXPECT_EQ(read_llc_bytes(root.string()), kFallbackLlcBytes);
-  add(0, "garbage", "Data", "48K");
-  EXPECT_EQ(read_llc_bytes(root.string()), kFallbackLlcBytes);
-  // Only L1/L2: the largest level wins; instruction caches never count.
-  add(0, "1", "Data", "48K");
-  add(1, "1", "Instruction", "4096K");
-  add(2, "2", "Unified", "2048K");
-  EXPECT_EQ(read_llc_bytes(root.string()), std::uint64_t{2048} << 10);
-  // An L3 wins over everything, even a larger L4.
-  add(3, "3", "Unified", "107520K");
-  add(4, "4", "Unified", "1G");
-  EXPECT_EQ(read_llc_bytes(root.string()), std::uint64_t{105} << 20);
-  fs::remove_all(root);
-  EXPECT_GT(llc_bytes(), 0u);
+  EXPECT_EQ(read_l2_bytes(dir.path() + "/missing"), kFallbackL2Bytes);
+  EXPECT_EQ(read_l2_bytes(dir.path()), kFallbackL2Bytes);
+  dir.add(0, "garbage", "Data", "48K");
+  EXPECT_EQ(read_l2_bytes(dir.path()), kFallbackL2Bytes);
+  // L1 only, or an L2 that is an instruction cache: no L2 to read.
+  dir.add(0, "1", "Data", "48K");
+  dir.add(1, "2", "Instruction", "4096K");
+  EXPECT_EQ(read_l2_bytes(dir.path()), kFallbackL2Bytes);
+  dir.add(2, "2", "Unified", "garbage");
+  EXPECT_EQ(read_l2_bytes(dir.path()), kFallbackL2Bytes);
+  // A unified L2; the L3 and L4 around it never count.
+  dir.add(2, "2", "Unified", "1280K");
+  dir.add(3, "3", "Unified", "107520K");
+  dir.add(4, "4", "Unified", "1G");
+  EXPECT_EQ(read_l2_bytes(dir.path()), std::uint64_t{1280} << 10);
+  // Split L2 entries: the larger one.
+  dir.add(5, "2", "Data", "2M");
+  EXPECT_EQ(read_l2_bytes(dir.path()), std::uint64_t{2} << 20);
+  EXPECT_GT(l2_bytes(), 0u);
 }
 
 TEST(Session, PatternCacheHitsOnRepeatedAngles) {

@@ -357,26 +357,50 @@ TEST(CompiledPattern, LoweringStatistics) {
 TEST(CompiledPattern, StaticPeakLiveMatchesEveryRun) {
   // peak_live() is computed once at lowering; every run, plain or noisy
   // (which materializes the fused blocks' fresh wire), must report it.
+  // The executor allocates its arena once, at arena_bytes(options): the
+  // arena and scratch buffers hold exactly that after every run, in
+  // either precision, and only noisy runs need 2^peak_live amplitudes.
   for (const Shape& shape : shape_patterns()) {
     const auto compiled = std::make_shared<const CompiledPattern>(shape.pattern);
-    PatternExecutor plain(compiled);
-    PatternExecutor noisy(compiled, {.entangler_noise = 0.2});
-    Rng rng(11);
-    for (int shot = 0; shot < 4; ++shot) {
-      EXPECT_EQ(plain.run_sample(rng).peak_live, compiled->peak_live())
+    for (Precision prec : {Precision::F64, Precision::F32}) {
+      const ExecOptions plain_options{.precision = prec};
+      const ExecOptions noisy_options{.entangler_noise = 0.2,
+                                      .precision = prec};
+      PatternExecutor plain(compiled, plain_options);
+      PatternExecutor noisy(compiled, noisy_options);
+      Rng rng(11);
+      for (int shot = 0; shot < 4; ++shot) {
+        EXPECT_EQ(plain.run_sample(rng).peak_live, compiled->peak_live())
+            << shape.name;
+        EXPECT_EQ(noisy.run_sample(rng).peak_live, compiled->peak_live())
+            << shape.name;
+        EXPECT_EQ(plain.arena_bytes(), compiled->arena_bytes(plain_options))
+            << shape.name << " shot " << shot;
+        EXPECT_EQ(noisy.arena_bytes(), compiled->arena_bytes(noisy_options))
+            << shape.name << " shot " << shot;
+      }
+      EXPECT_EQ(plain.run(rng).peak_live, compiled->peak_live());
+      EXPECT_EQ(plain.arena_bytes(), compiled->arena_bytes(plain_options))
           << shape.name;
-      EXPECT_EQ(noisy.run_sample(rng).peak_live, compiled->peak_live())
+      const std::uint64_t amp =
+          prec == Precision::F64 ? sizeof(cplx) : sizeof(cplxf);
+      const std::uint64_t peak_dim = std::uint64_t{1} << compiled->peak_live();
+      EXPECT_EQ(compiled->arena_bytes(noisy_options), 2 * peak_dim * amp)
+          << shape.name;
+      const int resident = compiled->arena_width(plain_options);
+      EXPECT_GE(resident, compiled->peak_live() - 1) << shape.name;
+      EXPECT_LE(resident, compiled->peak_live()) << shape.name;
+      EXPECT_EQ(compiled->arena_bytes(plain_options),
+                2 * (std::uint64_t{1} << resident) * amp)
           << shape.name;
     }
-    const std::uint64_t dim = std::uint64_t{1} << compiled->peak_live();
-    EXPECT_EQ(compiled->arena_bytes(Precision::F64), 2 * dim * sizeof(cplx))
-        << shape.name;
-    EXPECT_EQ(compiled->arena_bytes(Precision::F32), 2 * dim * sizeof(cplxf))
-        << shape.name;
   }
   // The zz gadget fuses to one op whose fresh wire sits on top of the
-  // two-wire register.
-  EXPECT_EQ(CompiledPattern(zz_gadget(0.5)).peak_live(), 3);
+  // two-wire register: a noiseless run never builds the third wire.
+  const CompiledPattern zz(zz_gadget(0.5));
+  EXPECT_EQ(zz.peak_live(), 3);
+  EXPECT_EQ(zz.arena_width({}), 2);
+  EXPECT_EQ(zz.arena_width({.entangler_noise = 0.1}), 3);
 }
 
 TEST(CompiledPattern, SteadyStateShotLoopAllocatesNothing) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "mbq/common/rng.h"
 #include "mbq/linalg/unitaries.h"
@@ -179,6 +181,61 @@ TEST(DynamicSv, PeakLiveTracksHighWater) {
   EXPECT_EQ(dsv.peak_live(), 3);  // never exceeded 3
   dsv.add_wire(4, true);
   EXPECT_EQ(dsv.peak_live(), 4);
+}
+
+TEST(DynamicSv, ReserveSizesBothBuffersOnce) {
+  // reserve(w) allocates the register and its scratch at 2^w amplitudes
+  // each; operations within that width never grow them.
+  for (Precision prec : {Precision::F64, Precision::F32}) {
+    const std::uint64_t amp =
+        prec == Precision::F64 ? sizeof(cplx) : sizeof(cplxf);
+    DynamicStatevector dsv(prec);
+    dsv.reserve(5);
+    const std::uint64_t reserved = 2 * (std::uint64_t{1} << 5) * amp;
+    EXPECT_EQ(dsv.buffer_bytes(), reserved);
+    Rng rng(9);
+    const Matrix x = measurement_basis(MeasBasis::X, 0.0);
+    for (int shot = 0; shot < 3; ++shot) {
+      dsv.reset();
+      dsv.add_plus_wires(0, 4);
+      dsv.add_wire(4, true);
+      dsv.measure_remove(1, x, rng);  // into scratch, which swaps in
+      dsv.prep_cz_teleport_measure(5, 1, 2, x, rng);
+      dsv.prep_cz_measure(6, 3, x, rng);
+      dsv.measure_remove(4, x, rng);  // top wire: in place
+      EXPECT_EQ(dsv.buffer_bytes(), reserved) << "shot " << shot;
+    }
+    // A narrower reserve keeps the buffers; one past the live-wire
+    // limit reserves nothing.
+    dsv.reserve(3);
+    dsv.reserve(DynamicStatevector::kMaxLiveWires + 1);
+    EXPECT_EQ(dsv.buffer_bytes(), reserved);
+  }
+}
+
+TEST(DynamicSv, LargeArenasAreHugePageAligned) {
+  // Buffers of 2 MiB or more start on a 2 MiB boundary where huge pages
+  // exist, so they can be backed by them; smaller ones keep the default
+  // allocator.  Contents survive growth across the two paths.
+  const auto check = [](auto zero) {
+    using C = decltype(zero);
+    const std::size_t huge = kHugePageBytes / sizeof(C);
+    std::vector<C, UninitAllocator<C>> v(huge / 4);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = C(static_cast<float>(i), 1.0f);
+    for (const std::size_t n : {huge, huge + huge / 2, 8 * huge}) {
+      v.resize(n);
+      const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+      if (kHugePageAllocator) {
+        EXPECT_EQ(addr % kHugePageBytes, 0u) << n * sizeof(C) << " bytes";
+      }
+      v.back() = C(2.0f, 3.0f);  // the whole range is writable
+      for (std::size_t i = 0; i < huge / 4; i += 997)
+        ASSERT_EQ(v[i], C(static_cast<float>(i), 1.0f)) << i;
+    }
+  };
+  check(cplx{});
+  check(cplxf{});
 }
 
 TEST(DynamicSv, StateInOrderPermutes) {

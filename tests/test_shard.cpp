@@ -537,7 +537,6 @@ TEST(ShardWorkerDeath, WedgedWorkerTimesOutWithAMessageNotAHang) {
   // and its slice.
   shard::WorkerPool pool(2, worker_path());
   const pid_t victim = pool.pids()[1];
-  ASSERT_EQ(kill(victim, SIGSTOP), 0);
 
   shard::Request req;
   req.kind = shard::TaskKind::kSample;
@@ -550,6 +549,15 @@ TEST(ShardWorkerDeath, WedgedWorkerTimesOutWithAMessageNotAHang) {
   req.end = 2;
   const std::vector<std::vector<std::byte>> requests = {
       shard::encode_request(req), shard::encode_request(req)};
+
+  // One healthy round first, without a deadline: a freshly exec'd worker
+  // can take longer than the deadline to answer its first request on a
+  // loaded host, and then the error would name worker 0, not the
+  // stopped one.  Warm, worker 0 answers a 4-qubit slice far inside
+  // the deadline.
+  pool.round(requests);
+  ASSERT_TRUE(pool.alive());
+  ASSERT_EQ(kill(victim, SIGSTOP), 0);
 
   ASSERT_EQ(setenv("MBQ_WORKER_TIMEOUT_MS", "300", 1), 0);
   EXPECT_EQ(shard::worker_timeout_ms(), 300);
